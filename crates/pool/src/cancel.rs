@@ -328,6 +328,31 @@ pub fn reset_ticker_polls() {
     TICKER_POLLS.store(0, Ordering::Relaxed);
 }
 
+thread_local! {
+    /// The calling thread's share of [`TICKER_POLLS`].
+    static THREAD_POLLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Ambient-token polls made by `PollTicker`s on the calling thread
+/// since it started. Unlike [`ticker_polls`] it cannot be moved by
+/// other threads, so a test can count the polls of a stream it drives
+/// itself while other tests run.
+pub fn thread_ticker_polls() -> u64 {
+    THREAD_POLLS.with(|c| c.get())
+}
+
+/// Count one ticker poll and abandon the region if cancellation was
+/// requested. Out of line: it runs once per `INTERVAL` elements, and
+/// the element loops that tick stay small without it.
+#[inline(never)]
+fn ticker_poll() {
+    TICKER_POLLS.fetch_add(1, Ordering::Relaxed);
+    THREAD_POLLS.with(|c| c.set(c.get() + 1));
+    if cancellation_requested() {
+        abort_region();
+    }
+}
+
 impl PollTicker {
     /// Elements between ambient-token polls.
     pub const INTERVAL: u32 = 1024;
@@ -348,10 +373,7 @@ impl PollTicker {
         self.left -= 1;
         if self.left == 0 {
             self.left = Self::INTERVAL;
-            TICKER_POLLS.fetch_add(1, Ordering::Relaxed);
-            if cancellation_requested() {
-                abort_region();
-            }
+            ticker_poll();
         }
     }
 
@@ -376,10 +398,7 @@ impl PollTicker {
         }
         let past = (n - left) % u64::from(Self::INTERVAL);
         self.left = Self::INTERVAL - past as u32;
-        TICKER_POLLS.fetch_add(1, Ordering::Relaxed);
-        if cancellation_requested() {
-            abort_region();
-        }
+        ticker_poll();
     }
 }
 

@@ -36,7 +36,7 @@ mod scope;
 pub mod stats;
 
 pub use cancel::{apply_cancellable, CancelToken, PollTicker};
-pub use cancel::{reset_ticker_polls, shield, ticker_polls, with_token};
+pub use cancel::{reset_ticker_polls, shield, thread_ticker_polls, ticker_polls, with_token};
 pub use govern::{backoff_delay, retry_with_backoff, run_governed, Budget, Exceeded};
 pub use latch::{AsyncLatch, Latch};
 pub use recovery::{
@@ -366,9 +366,18 @@ impl Pool {
 impl Drop for Pool {
     fn drop(&mut self) {
         self.registry.begin_terminate();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        // A job running on one of this pool's own workers can drop the
+        // last reference (a service whose final `Arc` a completing
+        // request releases). That worker cannot join itself: its
+        // handle is detached instead, and it exits on its own once the
+        // job returns and it sees the termination flag.
+        let me = std::thread::current().id();
+        let join = |handle: std::thread::JoinHandle<()>| {
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
+        };
+        self.handles.drain(..).for_each(join);
         // Workers respawned after a crash are reaped separately; loop,
         // because a respawned worker may itself have crashed and
         // spawned a successor before exiting.
@@ -377,9 +386,7 @@ impl Drop for Pool {
             if respawned.is_empty() {
                 break;
             }
-            for handle in respawned {
-                let _ = handle.join();
-            }
+            respawned.into_iter().for_each(join);
         }
         // Every worker has exited. Jobs spawned with `Pool::spawn` that
         // no worker ever picked up would leak their boxes (and leave
@@ -714,6 +721,23 @@ mod tests {
         let (a, b) = pool.install(|| join(|| 2 + 2, || "ok"));
         assert_eq!(a, 4);
         assert_eq!(b, "ok");
+    }
+
+    #[test]
+    fn dropping_the_last_reference_on_an_own_worker_does_not_self_join() {
+        let pool = std::sync::Arc::new(Pool::new(2));
+        let (give, take) = std::sync::mpsc::channel::<std::sync::Arc<Pool>>();
+        let (done, finished) = std::sync::mpsc::channel();
+        pool.spawn(move || {
+            // The only reference left: dropping it runs `Pool::drop` on
+            // this worker, which must not try to join this thread.
+            drop(take.recv().expect("pool handed over"));
+            done.send(()).expect("test still waiting");
+        });
+        give.send(pool).expect("job still waiting");
+        finished
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the job dropping its own pool must run to completion");
     }
 
     #[test]

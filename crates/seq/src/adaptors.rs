@@ -10,9 +10,14 @@
 //! and forwards geometry resolution inward with that cost added, so the
 //! source's [`LazyBlockSize`] resolves against the *total* pipeline cost.
 
+use std::mem::{self, MaybeUninit};
+use std::ops::ControlFlow;
+
 use bds_cost::{ElemCost, SIMPLE};
 
 use crate::policy::LazyBlockSize;
+use crate::simd::CHUNK;
+use crate::stream::{fold_by_next, BlockStream};
 use crate::traits::{RadBlock, RadSeq, Seq};
 
 // ---------------------------------------------------------------------
@@ -53,6 +58,22 @@ where
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.inner.size_hint()
+    }
+}
+
+// SAFETY: forwards to the input's `fold_upto` with the same `n`.
+unsafe impl<'s, I, F, U> BlockStream for MapBlock<'s, I, F>
+where
+    I: BlockStream,
+    F: Fn(I::Item) -> U,
+{
+    #[inline]
+    fn fold_upto<B, G>(&mut self, n: usize, init: B, mut g: G) -> (B, usize)
+    where
+        G: FnMut(B, U) -> ControlFlow<B, B>,
+    {
+        let f = self.f;
+        self.inner.fold_upto(n, init, |acc, x| g(acc, f(x)))
     }
 }
 
@@ -184,7 +205,7 @@ where
 {
     type Item = (A::Item, B::Item);
     type Block<'s>
-        = std::iter::Zip<A::Block<'s>, B::Block<'s>>
+        = ZipWithBlock<A::Block<'s>, B::Block<'s>, Pair>
     where
         Self: 's;
 
@@ -218,7 +239,11 @@ where
     }
 
     fn block(&self, j: usize) -> Self::Block<'_> {
-        self.a.block(j).zip(self.b.block(j))
+        ZipWithBlock {
+            a: self.a.block(j),
+            b: self.b.block(j),
+            f: Pair,
+        }
     }
 }
 
@@ -249,30 +274,171 @@ impl<A: Seq, B: Seq, F> ZipWith<A, B, F> {
     }
 }
 
-/// Block stream of [`ZipWith`].
-pub struct ZipWithBlock<'s, IA, IB, F> {
-    a: IA,
-    b: IB,
-    f: &'s F,
+/// How a zip block combines one element of each side: a [`ZipWith`]
+/// closure, or [`Zip`]'s tupling ([`Pair`]).
+pub trait ZipFn<A, B> {
+    /// The combined element.
+    type Output;
+    /// Combine `a` and `b`.
+    fn call(&self, a: A, b: B) -> Self::Output;
 }
 
-impl<'s, IA, IB, F, U> Iterator for ZipWithBlock<'s, IA, IB, F>
+impl<A, B, U, F: Fn(A, B) -> U> ZipFn<A, B> for &F {
+    type Output = U;
+
+    #[inline]
+    fn call(&self, a: A, b: B) -> U {
+        (**self)(a, b)
+    }
+}
+
+/// [`Zip`]'s combiner: the pair itself.
+#[derive(Debug, Clone, Copy)]
+pub struct Pair;
+
+impl<A, B> ZipFn<A, B> for Pair {
+    type Output = (A, B);
+
+    #[inline]
+    fn call(&self, a: A, b: B) -> (A, B) {
+        (a, b)
+    }
+}
+
+/// Block stream of [`ZipWith`] and [`Zip`].
+pub struct ZipWithBlock<IA, IB, F> {
+    a: IA,
+    b: IB,
+    f: F,
+}
+
+impl<IA, IB, F> Iterator for ZipWithBlock<IA, IB, F>
 where
     IA: Iterator,
     IB: Iterator,
-    F: Fn(IA::Item, IB::Item) -> U,
+    F: ZipFn<IA::Item, IB::Item>,
 {
-    type Item = U;
+    type Item = F::Output;
 
     #[inline]
-    fn next(&mut self) -> Option<U> {
+    fn next(&mut self) -> Option<F::Output> {
         let x = self.a.next()?;
         let y = self.b.next()?;
-        Some((self.f)(x, y))
+        Some(self.f.call(x, y))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.a.size_hint()
+    }
+}
+
+/// Largest left-side element, in bytes, that a zip buffers for
+/// lockstep; larger elements zip one `next()` at a time. Keeps the
+/// stack buffer at most `CHUNK * 32` bytes (32 KiB).
+const LOCKSTEP_MAX_ITEM: usize = 32;
+
+/// The stack buffer of one lockstep step: slots `taken..filled` hold
+/// left-side elements not yet combined. Dropping it drops exactly
+/// those, so a panic mid-step (in either side's production or in the
+/// consumer) leaks nothing and drops nothing twice.
+struct Lockstep<T> {
+    slots: [MaybeUninit<T>; CHUNK],
+    filled: usize,
+    taken: usize,
+}
+
+impl<T> Drop for Lockstep<T> {
+    fn drop(&mut self) {
+        if mem::needs_drop::<T>() {
+            // SAFETY: slots `taken..filled` are initialized and were
+            // not moved out (both counts are kept current per element
+            // for types that need dropping).
+            unsafe {
+                std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(
+                    self.slots.as_mut_ptr().add(self.taken).cast::<T>(),
+                    self.filled - self.taken,
+                ));
+            }
+        }
+    }
+}
+
+/// Lockstep zip: fold side `a` for up to one chunk into a stack buffer,
+/// then fold side `b` over the same count, combining each `b` element
+/// with its buffered partner. Both sides keep their own chunked loops,
+/// so a zip whose side is a scan, a map or another zip stays fused.
+#[inline]
+fn lockstep<IA, IB, F, B, G>(z: &mut ZipWithBlock<IA, IB, F>, n: usize, init: B, mut g: G) -> (B, usize)
+where
+    IA: BlockStream,
+    IB: BlockStream,
+    F: ZipFn<IA::Item, IB::Item>,
+    G: FnMut(B, F::Output) -> ControlFlow<B, B>,
+{
+    let needs_drop = mem::needs_drop::<IA::Item>();
+    let f = &z.f;
+    let mut acc = init;
+    let mut done = 0;
+    while done < n {
+        let want = (n - done).min(CHUNK);
+        let mut buf = Lockstep::<IA::Item> {
+            slots: [const { MaybeUninit::uninit() }; CHUNK],
+            filled: 0,
+            taken: 0,
+        };
+        let slots = buf.slots.as_mut_ptr().cast::<IA::Item>();
+        let filled = &mut buf.filled;
+        let (ka, _) = z.a.fold_upto(want, 0, |i, x| {
+            // SAFETY: `a` folds at most `want <= CHUNK` elements (the
+            // `BlockStream` contract), so slot `i` is in bounds.
+            unsafe { slots.add(i).write(x) };
+            if needs_drop {
+                *filled = i + 1;
+            }
+            ControlFlow::Continue(i + 1)
+        });
+        buf.filled = ka;
+        let taken = &mut buf.taken;
+        let mut i = 0;
+        let (b, kb) = z.b.fold_upto(ka, acc, |acc, y| {
+            // SAFETY: `b` folds at most `ka` elements, so slot `i` is
+            // below `filled` and was not taken yet.
+            let x = unsafe { slots.add(i).read() };
+            i += 1;
+            if needs_drop {
+                *taken = i;
+            }
+            g(acc, f.call(x, y))
+        });
+        buf.taken = kb;
+        acc = b;
+        done += kb;
+        if kb < want {
+            break; // a side ran out, or `g` broke
+        }
+    }
+    (acc, done)
+}
+
+// SAFETY: `lockstep` returns the `b`-side counts, each at most its
+// step's `want`, which sum to at most `n`; `fold_by_next` folds at most
+// `n`.
+unsafe impl<IA, IB, F> BlockStream for ZipWithBlock<IA, IB, F>
+where
+    IA: BlockStream,
+    IB: BlockStream,
+    F: ZipFn<IA::Item, IB::Item>,
+{
+    #[inline]
+    fn fold_upto<B, G>(&mut self, n: usize, init: B, g: G) -> (B, usize)
+    where
+        G: FnMut(B, F::Output) -> ControlFlow<B, B>,
+    {
+        if mem::size_of::<IA::Item>() <= LOCKSTEP_MAX_ITEM {
+            lockstep(self, n, init, g)
+        } else {
+            fold_by_next(self, n, init, g)
+        }
     }
 }
 
@@ -285,7 +451,7 @@ where
 {
     type Item = U;
     type Block<'s>
-        = ZipWithBlock<'s, A::Block<'s>, B::Block<'s>, F>
+        = ZipWithBlock<A::Block<'s>, B::Block<'s>, &'s F>
     where
         Self: 's;
 
@@ -375,6 +541,23 @@ impl<I: Iterator> Iterator for EnumerateBlock<I> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.inner.size_hint()
+    }
+}
+
+// SAFETY: forwards to the input's `fold_upto` with the same `n`.
+unsafe impl<I: BlockStream> BlockStream for EnumerateBlock<I> {
+    #[inline]
+    fn fold_upto<B, G>(&mut self, n: usize, init: B, mut g: G) -> (B, usize)
+    where
+        G: FnMut(B, Self::Item) -> ControlFlow<B, B>,
+    {
+        let mut i = self.next_index;
+        let (acc, k) = self.inner.fold_upto(n, init, |acc, x| {
+            i += 1;
+            g(acc, (i - 1, x))
+        });
+        self.next_index += k;
+        (acc, k)
     }
 }
 
@@ -787,6 +970,27 @@ where
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.inner.size_hint()
+    }
+}
+
+// SAFETY: forwards to the input's `fold_upto` with the same `n`.
+unsafe impl<'s, I, F, U> BlockStream for MapWithIndexBlock<'s, I, F>
+where
+    I: BlockStream,
+    F: Fn(usize, I::Item) -> U,
+{
+    #[inline]
+    fn fold_upto<B, G>(&mut self, n: usize, init: B, mut g: G) -> (B, usize)
+    where
+        G: FnMut(B, U) -> ControlFlow<B, B>,
+    {
+        let (f, mut i) = (self.f, self.next_index);
+        let (acc, k) = self.inner.fold_upto(n, init, |acc, x| {
+            i += 1;
+            g(acc, f(i - 1, x))
+        });
+        self.next_index += k;
+        (acc, k)
     }
 }
 

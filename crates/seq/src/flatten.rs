@@ -9,9 +9,12 @@
 //! proportional to the number of *inner sequences* only; the per-element
 //! walk is delayed.
 
+use std::ops::ControlFlow;
+
 use crate::counters;
 use crate::policy::LazyBlockSize;
 use crate::profile;
+use crate::stream::{fold_positions, BlockStream};
 use crate::traits::{RadSeq, Seq};
 use crate::util::array_scan_exclusive;
 
@@ -151,6 +154,48 @@ impl<'s, Inner: RadSeq> Iterator for RegionIter<'s, Inner> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining, Some(self.remaining))
+    }
+}
+
+// SAFETY: each segment's `fold_positions` call folds at most the
+// `n - done` elements still wanted, so the total is at most `n`.
+unsafe impl<'s, Inner: RadSeq> BlockStream for RegionIter<'s, Inner> {
+    #[inline]
+    fn fold_upto<B, G>(&mut self, n: usize, init: B, mut g: G) -> (B, usize)
+    where
+        G: FnMut(B, Inner::Item) -> ControlFlow<B, B>,
+    {
+        let want = n.min(self.remaining);
+        let mut acc = init;
+        let mut done = 0;
+        // One counted loop per inner segment the chunk touches.
+        while done < want {
+            let Some(inner) = self.inners.get(self.part) else {
+                break;
+            };
+            let here = (want - done).min(inner.len() - self.within);
+            let get = |r: std::ops::Range<usize>| r.map(|i| inner.get(i));
+            let (b, k) = fold_positions(
+                &mut self.ticker,
+                &mut self.within,
+                inner.len(),
+                here,
+                acc,
+                get,
+                &mut g,
+            );
+            acc = b;
+            done += k;
+            self.remaining -= k;
+            if k < here {
+                break; // `g` broke
+            }
+            if self.within == inner.len() {
+                self.part += 1;
+                self.within = 0;
+            }
+        }
+        (acc, done)
     }
 }
 

@@ -107,6 +107,8 @@ pub mod flatten;
 pub mod governed;
 pub mod policy;
 pub mod profile;
+#[cfg(test)]
+mod protocol_tests;
 pub mod scan;
 pub mod service;
 pub mod simd;
@@ -135,7 +137,7 @@ pub use scan::{Scanned, ScannedIncl};
 pub use service::ServiceExt;
 pub use simd::{force_level, SimdLevel, SimdLevelGuard};
 pub use sources::{empty, from_slice, range, repeat, tabulate, Forced, FromSlice, Tabulate};
-pub use stream::IndexedStream;
+pub use stream::{BlockStream, IndexedStream};
 pub use traits::{RadBlock, RadSeq, Seq};
 
 /// Everything needed to write pipelines: the traits plus constructors.

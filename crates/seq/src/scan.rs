@@ -7,6 +7,9 @@
 //! block streams perform the phase-3 work lazily, fusing with whatever
 //! consumes the scan. Only phases 1-2 run eagerly, allocating O(b).
 
+use std::ops::ControlFlow;
+
+use crate::stream::BlockStream;
 use crate::traits::Seq;
 
 /// The delayed result of an exclusive [`Seq::scan`]: element `i` is the
@@ -97,6 +100,32 @@ where
     }
 }
 
+// SAFETY: forwards to the input's `fold_upto` with the same `n`.
+unsafe impl<'s, I, T, F> BlockStream for ScanBlock<'s, I, T, F>
+where
+    I: BlockStream<Item = T>,
+    T: Clone,
+    F: Fn(T, T) -> T,
+{
+    #[inline]
+    fn fold_upto<B, G>(&mut self, n: usize, init: B, mut g: G) -> (B, usize)
+    where
+        G: FnMut(B, T) -> ControlFlow<B, B>,
+    {
+        // The running value lives in a local for the call, not behind
+        // `&mut self`, which keeps it in a register when this block is
+        // one side of a zip.
+        let f = self.f;
+        let mut acc = self.acc.clone();
+        let folded = self.inner.fold_upto(n, init, |b, x| {
+            let next_acc = f(acc.clone(), x);
+            g(b, std::mem::replace(&mut acc, next_acc))
+        });
+        self.acc = acc;
+        folded
+    }
+}
+
 /// Block stream of [`ScannedIncl`]: phase 3, inclusive flavor.
 pub struct ScanInclBlock<'s, I, T, F> {
     inner: I,
@@ -121,6 +150,30 @@ where
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.inner.size_hint()
+    }
+}
+
+// SAFETY: forwards to the input's `fold_upto` with the same `n`.
+unsafe impl<'s, I, T, F> BlockStream for ScanInclBlock<'s, I, T, F>
+where
+    I: BlockStream<Item = T>,
+    T: Clone,
+    F: Fn(T, T) -> T,
+{
+    #[inline]
+    fn fold_upto<B, G>(&mut self, n: usize, init: B, mut g: G) -> (B, usize)
+    where
+        G: FnMut(B, T) -> ControlFlow<B, B>,
+    {
+        // See `ScanBlock::fold_upto`.
+        let f = self.f;
+        let mut acc = self.acc.clone();
+        let folded = self.inner.fold_upto(n, init, |b, x| {
+            acc = f(acc.clone(), x);
+            g(b, acc.clone())
+        });
+        self.acc = acc;
+        folded
     }
 }
 

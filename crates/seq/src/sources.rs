@@ -1,10 +1,12 @@
 //! Source sequences: `tabulate`, borrowed slices, and forced (owned)
 //! arrays.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use crate::counters;
 use crate::policy::LazyBlockSize;
+use crate::stream::{fold_positions, BlockStream};
 use crate::traits::{RadBlock, RadSeq, Seq};
 
 /// Fully delayed sequence defined by an index function (Figure 10 line
@@ -65,6 +67,22 @@ where
     fn size_hint(&self) -> (usize, Option<usize>) {
         let n = self.end - self.next;
         (n, Some(n))
+    }
+}
+
+// SAFETY: `fold_positions` folds at most `n` positions.
+unsafe impl<'s, T, F> BlockStream for TabulateBlock<'s, F>
+where
+    F: Fn(usize) -> T,
+{
+    #[inline]
+    fn fold_upto<B, G>(&mut self, n: usize, init: B, g: G) -> (B, usize)
+    where
+        G: FnMut(B, T) -> ControlFlow<B, B>,
+    {
+        let f = self.f;
+        let items = |r: std::ops::Range<usize>| r.map(f);
+        fold_positions(&mut self.ticker, &mut self.next, self.end, n, init, items, g)
     }
 }
 
@@ -143,8 +161,19 @@ pub fn from_slice<T: Clone + Send + Sync>(data: &[T]) -> FromSlice<'_, T> {
 /// `counters` feature is on. Polls the ambient cancellation token every
 /// [`bds_pool::PollTicker::INTERVAL`] elements.
 pub struct SliceBlock<'s, T> {
-    inner: std::slice::Iter<'s, T>,
+    data: &'s [T],
+    next: usize,
     ticker: bds_pool::PollTicker,
+}
+
+impl<'s, T> SliceBlock<'s, T> {
+    fn new(data: &'s [T]) -> Self {
+        SliceBlock {
+            data,
+            next: 0,
+            ticker: bds_pool::PollTicker::new(),
+        }
+    }
 }
 
 impl<'s, T: Clone> Iterator for SliceBlock<'s, T> {
@@ -152,14 +181,32 @@ impl<'s, T: Clone> Iterator for SliceBlock<'s, T> {
 
     #[inline]
     fn next(&mut self) -> Option<T> {
-        let x = self.inner.next()?;
+        let x = self.data.get(self.next)?;
+        self.next += 1;
         self.ticker.tick();
         counters::count_reads(1);
         Some(x.clone())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
+        let n = self.data.len() - self.next;
+        (n, Some(n))
+    }
+}
+
+// SAFETY: `fold_positions` folds at most `n` positions.
+unsafe impl<'s, T: Clone> BlockStream for SliceBlock<'s, T> {
+    #[inline]
+    fn fold_upto<B, G>(&mut self, n: usize, init: B, g: G) -> (B, usize)
+    where
+        G: FnMut(B, T) -> ControlFlow<B, B>,
+    {
+        let data = self.data;
+        let items = |r: std::ops::Range<usize>| {
+            counters::count_reads(r.len());
+            data[r].iter().cloned()
+        };
+        fold_positions(&mut self.ticker, &mut self.next, data.len(), n, init, items, g)
     }
 }
 
@@ -194,10 +241,7 @@ impl<'a, T: Clone + Send + Sync> Seq for FromSlice<'a, T> {
 
     fn block(&self, j: usize) -> SliceBlock<'_, T> {
         let (lo, hi) = self.block_bounds(j);
-        SliceBlock {
-            inner: self.data[lo..hi].iter(),
-            ticker: bds_pool::PollTicker::new(),
-        }
+        SliceBlock::new(&self.data[lo..hi])
     }
 }
 
@@ -273,10 +317,7 @@ impl<T: Clone + Send + Sync> Seq for Forced<T> {
 
     fn block(&self, j: usize) -> SliceBlock<'_, T> {
         let (lo, hi) = self.block_bounds(j);
-        SliceBlock {
-            inner: self.data[lo..hi].iter(),
-            ticker: bds_pool::PollTicker::new(),
-        }
+        SliceBlock::new(&self.data[lo..hi])
     }
 }
 

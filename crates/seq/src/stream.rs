@@ -41,6 +41,15 @@
 //!    [`bds_pool::apply_cancellable`] for the fallible drivers) streams
 //!    each block exactly once into its output slot, with the overflow/
 //!    underflow asserts that make the disjoint parallel writes safe.
+//!    A block is consumed by *chunked internal iteration*: one
+//!    [`BlockStream::fold_upto`] call per [`simd::CHUNK`]-aligned chunk
+//!    (`fold_chunks`), in which the stream runs the whole chunk as a
+//!    counted loop — leaves over their index range, adaptors by
+//!    composing their step into the fold, zips in lockstep through a
+//!    stack buffer — instead of one nested `next()` call per element.
+//!    Materialization writes the chunk into its region through a local
+//!    index. Streams without a chunked loop (the erased and dynamic
+//!    lowerings' boxed iterators) fall back to `next()`.
 //!    Every block body runs under [`bds_pool::recover_block`]
 //!    ([`bds_pool::recover_effect_block`] for the side-effecting
 //!    `for_each` loops): when an enclosing
@@ -52,10 +61,14 @@
 //!
 //! Cancellation polling is *not* repeated here: the leaf element
 //! iterators of every instantiation embed a
-//! [`bds_pool::PollTicker`] and tick once per element. The drive loop's
-//! contract is that exactly one ticker ticks per element — never zero,
-//! never two — which `tests/stream_parity.rs` pins down by comparing
-//! [`bds_pool::ticker_polls`] counts across instantiations.
+//! [`bds_pool::PollTicker`], and every leaf ticks once per element it
+//! produces — so a zip, with a leaf on each side, ticks two tickers per
+//! element. A chunked leaf moves its ticker once per `fold_upto` call
+//! by the same count, polling as often as per-element ticks would. The
+//! drive loop never ticks itself, so poll counts are a pure function of
+//! the pipeline and the block lengths, which `tests/stream_parity.rs`
+//! pins down by comparing [`bds_pool::ticker_polls`] counts across
+//! instantiations.
 //!
 //! SIMD chunk dispatch lives in the chunked drivers ([`try_sum_chunked`]):
 //! they regroup block streams into [`crate::simd::CHUNK`]-element
@@ -65,15 +78,194 @@
 //! every instantiation and identical to the slice kernels in
 //! [`crate::simd`].
 
+use std::ops::ControlFlow;
+
 use bds_cost::{ElemCost, SIMPLE};
 
 use crate::counters;
 use crate::policy;
 use crate::profile::{self, Stage};
-use crate::simd::{self, Interrupted, SimdElem};
+use crate::simd::{self, Interrupted, SimdElem, CHUNK};
 use crate::sources::Forced;
 use crate::traits::Seq;
 use crate::util::{build_vec, charge_elems, scan_sequential, PartialVec};
+
+// ---------------------------------------------------------------------
+// Chunked internal iteration
+// ---------------------------------------------------------------------
+
+/// A block's element stream with chunked *internal* iteration: the
+/// consumer hands a whole chunk's worth of work to the stream, and the
+/// stream runs it as one counted loop instead of answering one
+/// `next()` call per element.
+///
+/// Leaves ([`crate::sources::SliceBlock`],
+/// [`crate::sources::TabulateBlock`], [`crate::traits::RadBlock`],
+/// [`crate::flatten::RegionIter`]) fold an index range directly and
+/// move their [`bds_pool::PollTicker`] once per call;
+/// adaptors compose their per-element step into `g` and forward to
+/// their input; [`crate::adaptors::ZipWithBlock`] runs its two sides in
+/// lockstep through a stack buffer. Any other iterator gets the
+/// default, which calls `next()`: the erased `Box<dyn Iterator>` blocks
+/// of [`crate::BoxSeq`] and [`crate::dynseq::DSeq`], and the
+/// `Range`/`Take` blocks external [`Seq`] implementations may use.
+///
+/// # Safety
+///
+/// The drive loops write `fold_upto`'s elements into uninitialized
+/// buffers sized by `n`, so an implementation must fold **at most `n`**
+/// elements per call and return exactly how many it folded.
+pub unsafe trait BlockStream: Iterator {
+    /// Fold up to `n` more elements through `g`, starting from `init`.
+    /// Returns the accumulator and the number of elements folded, which
+    /// is less than `n` only when the stream ran out or `g` returned
+    /// [`ControlFlow::Break`] (the breaking element counts as folded,
+    /// and its accumulator is returned). Elements arrive in stream
+    /// order, and a stream driven by `fold_upto` polls its tickers as
+    /// often as one driven by `next()`.
+    #[inline]
+    fn fold_upto<B, G>(&mut self, n: usize, init: B, g: G) -> (B, usize)
+    where
+        G: FnMut(B, Self::Item) -> ControlFlow<B, B>,
+    {
+        fold_by_next(self, n, init, g)
+    }
+}
+
+/// The per-element fallback of [`BlockStream::fold_upto`].
+#[inline]
+pub(crate) fn fold_by_next<I, B, G>(it: &mut I, n: usize, init: B, mut g: G) -> (B, usize)
+where
+    I: Iterator + ?Sized,
+    G: FnMut(B, I::Item) -> ControlFlow<B, B>,
+{
+    let mut acc = init;
+    for k in 0..n {
+        let Some(x) = it.next() else {
+            return (acc, k);
+        };
+        match g(acc, x) {
+            ControlFlow::Continue(b) => acc = b,
+            ControlFlow::Break(b) => return (b, k + 1),
+        }
+    }
+    (acc, n)
+}
+
+/// The counted loop of the index-walking leaves: fold the elements
+/// `items(range)` produces for the next block positions `*next..` (at
+/// most `n` of them, never past `end`) and advance `*next` past the
+/// ones folded. `items` must yield one element per position of its
+/// range; leaves hand out a slice iterator or a mapped index range, so
+/// the loop carries no per-element bounds check.
+///
+/// The ticker moves before the loop, in steps of at most one poll
+/// interval: a step crosses at most one poll boundary and polls once if
+/// it does, so the ticker polls exactly as often as per-element ticks
+/// would, just up to one step earlier. Keeping the poll — a call — out
+/// of the element loop lets the loop vectorize.
+#[inline]
+pub(crate) fn fold_positions<I, B, G>(
+    ticker: &mut bds_pool::PollTicker,
+    next: &mut usize,
+    end: usize,
+    n: usize,
+    init: B,
+    items: impl FnOnce(std::ops::Range<usize>) -> I,
+    mut g: G,
+) -> (B, usize)
+where
+    I: Iterator,
+    G: FnMut(B, I::Item) -> ControlFlow<B, B>,
+{
+    let start = *next;
+    let stop = start + n.min(end.saturating_sub(start));
+    let mut ticks = stop - start;
+    while ticks > 0 {
+        let step = ticks.min(CHUNK);
+        ticker.tick_n(step);
+        ticks -= step;
+    }
+    let mut acc = init;
+    let mut folded = 0;
+    for x in items(start..stop) {
+        folded += 1;
+        match g(acc, x) {
+            ControlFlow::Continue(b) => acc = b,
+            ControlFlow::Break(b) => {
+                acc = b;
+                break;
+            }
+        }
+    }
+    *next = start + folded;
+    (acc, folded)
+}
+
+/// The one chunk loop every drive loop consumes blocks through: fold
+/// the stream's elements from block position `from` (the caller has
+/// already taken `from` elements) up to position `to`, one
+/// [`BlockStream::fold_upto`] call per [`simd::CHUNK`]-aligned chunk (one
+/// poll interval). Returns
+/// the accumulator and the position reached, which is below `to` only
+/// when the stream ran out or `g` broke.
+#[inline]
+pub(crate) fn fold_chunks<I, B, G>(stream: &mut I, from: usize, to: usize, init: B, mut g: G) -> (B, usize)
+where
+    I: BlockStream + ?Sized,
+    G: FnMut(B, I::Item) -> ControlFlow<B, B>,
+{
+    let mut acc = init;
+    let mut pos = from;
+    while pos < to {
+        let want = (CHUNK - pos % CHUNK).min(to - pos);
+        let (b, k) = stream.fold_upto(want, acc, &mut g);
+        acc = b;
+        pos += k;
+        if k < want {
+            break;
+        }
+    }
+    (acc, pos)
+}
+
+/// [`fold_chunks`] over the rest of an infallible stream.
+#[inline]
+fn fold_rest<I, B>(stream: &mut I, from: usize, init: B, mut g: impl FnMut(B, I::Item) -> B) -> B
+where
+    I: BlockStream + ?Sized,
+{
+    fold_chunks(stream, from, usize::MAX, init, |b, x| ControlFlow::Continue(g(b, x))).0
+}
+
+/// [`fold_chunks`] over the rest of a stream through a fallible step:
+/// stops at the first `Err`, producing no element after it (a later
+/// element could panic, or fire an injected fault, and change which
+/// failure the consumer reports).
+#[inline]
+fn try_fold_rest<I, B, E>(
+    stream: &mut I,
+    from: usize,
+    init: B,
+    mut f: impl FnMut(B, I::Item) -> Result<B, E>,
+) -> Result<B, E>
+where
+    I: BlockStream + ?Sized,
+{
+    fold_chunks(stream, from, usize::MAX, Ok(init), |acc: Result<B, E>, x| {
+        match acc.and_then(|b| f(b, x)) {
+            Ok(b) => ControlFlow::Continue(Ok(b)),
+            err => ControlFlow::Break(err),
+        }
+    })
+    .0
+}
+
+// SAFETY (all three): the default `fold_upto` folds at most `n`
+// elements and counts them exactly.
+unsafe impl<I: Iterator + ?Sized> BlockStream for Box<I> {}
+unsafe impl<A> BlockStream for std::ops::Range<A> where std::ops::Range<A>: Iterator {}
+unsafe impl<I: Iterator> BlockStream for std::iter::Take<I> {}
 
 // ---------------------------------------------------------------------
 // The indexed-stream contract
@@ -92,7 +284,7 @@ pub trait IndexedStream: Sync {
     /// Element type.
     type Item: Send;
     /// The stream of one block, borrowing the source.
-    type Block<'s>: Iterator<Item = Self::Item>
+    type Block<'s>: BlockStream<Item = Self::Item>
     where
         Self: 's;
 
@@ -256,9 +448,32 @@ where
     Ok(pv.finish())
 }
 
+/// Stream block `j` into its region of `pv` through `f`, checking the
+/// block-length invariant: the chunk loop stops at the region's end, an
+/// early end is an underflow, and an element beyond it an overflow —
+/// a panic instead of an unsound write.
+fn fill_block<S, T, E>(
+    s: &S,
+    g: Geometry,
+    j: usize,
+    pv: &PartialVec<T>,
+    f: impl FnMut(S::Item) -> Result<T, E>,
+) -> Result<(), E>
+where
+    S: IndexedStream + ?Sized,
+    T: Send,
+{
+    let (lo, hi) = g.block_bounds(j);
+    let mut w = pv.writer(lo);
+    let mut stream = s.stream_block(j);
+    w.extend_with(&mut stream, hi - lo, f)?;
+    assert_eq!(lo + w.count(), hi, "Seq invariant violated: block underflow");
+    assert!(stream.next().is_none(), "Seq invariant violated: block overflow");
+    Ok(())
+}
+
 /// Materialize: every block streams its elements straight into its slot
-/// of one fresh (budget-charged) buffer. The asserts turn a broken
-/// block-length invariant into a panic instead of an unsound write.
+/// of one fresh (budget-charged) buffer.
 fn materialize<S>(s: &S, g: Geometry) -> Vec<S::Item>
 where
     S: IndexedStream + ?Sized,
@@ -269,13 +484,7 @@ where
             // its partial prefix on unwind, so a retried attempt
             // re-streams the whole block into its untouched region.
             bds_pool::recover_block(j, || {
-                let (lo, hi) = g.block_bounds(j);
-                let mut w = pv.writer(lo);
-                for x in s.stream_block(j) {
-                    assert!(lo + w.count() < hi, "Seq invariant violated: block overflow");
-                    w.push(x);
-                }
-                assert_eq!(lo + w.count(), hi, "Seq invariant violated: block underflow");
+                let Ok(()) = fill_block(s, g, j, pv, Ok::<_, std::convert::Infallible>);
             });
         });
     })
@@ -292,16 +501,7 @@ where
 {
     let pv = PartialVec::new(g.len);
     bds_pool::apply_cancellable(g.nb, |j| {
-        bds_pool::recover_block(j, || {
-            let (lo, hi) = g.block_bounds(j);
-            let mut w = pv.writer(lo);
-            for x in s.stream_block(j) {
-                assert!(lo + w.count() < hi, "Seq invariant violated: block overflow");
-                w.push(f(x)?);
-            }
-            assert_eq!(lo + w.count(), hi, "Seq invariant violated: block underflow");
-            Ok(())
-        })
+        bds_pool::recover_block(j, || fill_block(s, g, j, &pv, &f))
     })?;
     Ok(pv.finish())
 }
@@ -328,7 +528,7 @@ where
     record(Stage::Reduce, g);
     let sums = per_block(s, g, |_, mut stream| {
         let first = stream.next().expect("Seq invariant violated: empty block");
-        stream.fold(first, combine)
+        fold_rest(&mut stream, 1, first, combine)
     });
     counters::count_reads(sums.len());
     sums.into_iter().fold(zero, combine)
@@ -344,11 +544,7 @@ where
     let _span = profile::span(Stage::ForEach);
     let g = pin_geometry(s, SIMPLE);
     record(Stage::ForEach, g);
-    visit_blocks(s, g, |_, stream| {
-        for x in stream {
-            f(x);
-        }
-    });
+    visit_blocks(s, g, |_, mut stream| fold_rest(&mut stream, 0, (), |(), x| f(x)));
 }
 
 /// Apply `f(i, x)` to every element with its global index.
@@ -360,11 +556,12 @@ where
     let _span = profile::span(Stage::ForEach);
     let g = pin_geometry(s, SIMPLE);
     record(Stage::ForEach, g);
-    visit_blocks(s, g, |j, stream| {
+    visit_blocks(s, g, |j, mut stream| {
         let (lo, _) = g.block_bounds(j);
-        for (k, x) in stream.enumerate() {
-            f(lo + k, x);
-        }
+        fold_rest(&mut stream, 0, lo, |i, x| {
+            f(i, x);
+            i + 1
+        });
     });
 }
 
@@ -394,7 +591,9 @@ where
     let _span = profile::span(Stage::Count);
     let g = pin_geometry(s, SIMPLE);
     record(Stage::Count, g);
-    let sums = per_block(s, g, |_, stream| stream.filter(|x| pred(x)).count());
+    let sums = per_block(s, g, |_, mut stream| {
+        fold_rest(&mut stream, 0, 0, |c, x| c + usize::from(pred(&x)))
+    });
     sums.into_iter().sum()
 }
 
@@ -417,11 +616,9 @@ where
     if g.nb > 0 {
         record(Stage::FilterEager, g);
     }
-    per_block(s, g, |_, stream| {
+    per_block(s, g, |_, mut stream| {
         let mut kept: Vec<U> = Vec::new();
-        for x in stream {
-            keep(x, &mut kept);
-        }
+        fold_rest(&mut stream, 0, (), |(), x| keep(x, &mut kept));
         // Survivors are the filter's real allocation; charge them
         // against the ambient memory budget (abandons the region on
         // exhaustion — the survivor vec is dropped normally).
@@ -450,7 +647,7 @@ where
     record(Stage::ScanEager, g);
     let sums = per_block(s, g, |_, mut stream| {
         let first = stream.next().expect("Seq invariant violated: empty block");
-        stream.fold(first, f)
+        fold_rest(&mut stream, 1, first, f)
     });
     counters::count_reads(g.nb);
     scan_sequential(&sums, zero, &|a, b| f(a.clone(), b.clone()))
@@ -474,11 +671,8 @@ where
     }
     let g = pin_geometry(s, SIMPLE);
     let sums = try_per_block(s, g, |_, mut stream| {
-        let mut acc = stream.next().expect("Seq invariant violated: empty block");
-        for x in stream {
-            acc = f(acc, x)?;
-        }
-        Ok(acc)
+        let first = stream.next().expect("Seq invariant violated: empty block");
+        try_fold_rest(&mut stream, 1, first, f)
     })?;
     counters::count_reads(sums.len());
     let mut acc = zero;
@@ -506,11 +700,8 @@ where
     let g = pin_geometry(s, ElemCost { w: 2, s: 2, a: 1 });
     // Phase 1: per-block sums (fused with the input's delayed work).
     let sums = try_per_block(s, g, |_, mut stream| {
-        let mut acc = stream.next().expect("Seq invariant violated: empty block");
-        for x in stream {
-            acc = f(acc, x)?;
-        }
-        Ok(acc)
+        let first = stream.next().expect("Seq invariant violated: empty block");
+        try_fold_rest(&mut stream, 1, first, f)
     })?;
     // Phase 2: sequential fallible scan of the block sums.
     counters::count_reads(g.nb);
@@ -527,15 +718,11 @@ where
         // Retry-safe: the seed is re-read and the region re-written
         // from scratch, so a retried rescan is bit-identical.
         bds_pool::recover_block(j, || {
-            let (lo, hi) = g.block_bounds(j);
             let mut acc = seeds[j].clone();
-            let mut w = out_pv.writer(lo);
-            for x in s.stream_block(j) {
-                w.push(acc.clone());
-                acc = f(acc, x)?;
-            }
-            assert_eq!(lo + w.count(), hi, "Seq invariant violated: block underflow");
-            Ok(())
+            fill_block(s, g, j, &out_pv, |x| {
+                let next = f(acc.clone(), x)?;
+                Ok(std::mem::replace(&mut acc, next))
+            })
         })
     })?;
     Ok((Forced::from_vec(out_pv.finish()), total))
@@ -554,13 +741,14 @@ where
 {
     // One predicate call and a possible survivor copy per element.
     let g = pin_geometry(s, ElemCost { w: 1, s: 1, a: 1 });
-    try_per_block(s, g, |_, stream| {
+    try_per_block(s, g, |_, mut stream| {
         let mut kept: Vec<S::Item> = Vec::new();
-        for x in stream {
+        try_fold_rest(&mut stream, 0, (), |(), x| {
             if pred(&x)? {
                 kept.push(x);
             }
-        }
+            Ok(())
+        })?;
         counters::count_writes(kept.len());
         counters::count_allocs(kept.len());
         Ok(kept)
@@ -607,25 +795,26 @@ where
     let mut acc = T::ZERO;
     let mut buf: Vec<T> = Vec::with_capacity(simd::CHUNK.min(g.len));
     let mut at = 0;
-    let flush = |buf: &mut Vec<T>, acc: &mut T, at: &mut usize| {
+    let mut flush = |buf: &mut Vec<T>| {
         if crate::faults::poll() {
-            return Err(Interrupted { at: *at });
+            return Err(Interrupted { at });
         }
-        *acc = acc.add(T::sum_chunk(level, buf));
-        *at += buf.len();
+        acc = acc.add(T::sum_chunk(level, buf));
+        at += buf.len();
         buf.clear();
         Ok(())
     };
     for j in 0..g.nb {
-        for x in s.stream_block(j) {
+        try_fold_rest(&mut s.stream_block(j), 0, (), |(), x| {
             buf.push(x);
             if buf.len() == simd::CHUNK {
-                flush(&mut buf, &mut acc, &mut at)?;
+                flush(&mut buf)?;
             }
-        }
+            Ok(())
+        })?;
     }
     if !buf.is_empty() {
-        flush(&mut buf, &mut acc, &mut at)?;
+        flush(&mut buf)?;
     }
     Ok(acc)
 }

@@ -22,7 +22,7 @@
 //! [`crate::dynseq`] for comparison.
 
 use crate::adaptors::{Enumerate, Map, RevSeq, SkipSeq, TakeSeq, Zip, ZipWith};
-use crate::stream;
+use crate::stream::{self, BlockStream};
 use crate::filter::{self, Filtered};
 use crate::policy::ceil_div;
 use crate::scan::{self, Scanned, ScannedIncl};
@@ -43,8 +43,9 @@ use crate::sources::Forced;
 pub trait Seq: Send + Sync {
     /// Element type.
     type Item: Send;
-    /// The stream type of one block, borrowing the sequence.
-    type Block<'s>: Iterator<Item = Self::Item>
+    /// The stream type of one block, borrowing the sequence. See
+    /// [`BlockStream`] for the chunked iteration the drive loops use.
+    type Block<'s>: BlockStream<Item = Self::Item>
     where
         Self: 's;
 
@@ -514,3 +515,16 @@ impl<'s, S: RadSeq + ?Sized> Iterator for RadBlock<'s, S> {
 }
 
 impl<'s, S: RadSeq + ?Sized> ExactSizeIterator for RadBlock<'s, S> {}
+
+// SAFETY: `fold_positions` folds at most `n` positions.
+unsafe impl<'s, S: RadSeq + ?Sized> BlockStream for RadBlock<'s, S> {
+    #[inline]
+    fn fold_upto<B, G>(&mut self, n: usize, init: B, g: G) -> (B, usize)
+    where
+        G: FnMut(B, S::Item) -> std::ops::ControlFlow<B, B>,
+    {
+        let seq = self.seq;
+        let get = |r: std::ops::Range<usize>| r.map(|i| seq.get(i));
+        crate::stream::fold_positions(&mut self.ticker, &mut self.next, self.end, n, init, get, g)
+    }
+}

@@ -22,9 +22,11 @@
 //! orders both the element writes and the segment records before
 //! [`PartialVec::finish`] or `Drop` reads them.
 
+use std::ops::ControlFlow;
 use std::sync::Mutex;
 
 use crate::counters;
+use crate::stream::{self, BlockStream};
 use crate::policy::{block_size, ceil_div};
 
 /// A buffer of `n` slots being initialized region-by-region from
@@ -183,6 +185,61 @@ impl<T: Send> BlockWriter<'_, T> {
         // the disjoint-regions contract.
         unsafe { self.pv.ptr.add(index).write(value) };
         self.written += 1;
+    }
+
+    /// Stream up to `max` elements of `stream`, mapped through `f`, into
+    /// the next slots of this region, through the drive loops' chunk
+    /// loop. Stops early at the stream's end or at `f`'s first `Err`,
+    /// which is returned.
+    ///
+    /// The slots are written through a local index, not one `push` per
+    /// element, so the loop carries no per-element bounds check or
+    /// writer update. The written count — what the unwind guard drops —
+    /// is kept current per element only when `T` needs dropping; for
+    /// other types an unwind mid-chunk has nothing to drop.
+    #[inline]
+    pub(crate) fn extend_with<I, E>(
+        &mut self,
+        stream: &mut I,
+        max: usize,
+        mut f: impl FnMut(I::Item) -> Result<T, E>,
+    ) -> Result<usize, E>
+    where
+        I: BlockStream + ?Sized,
+    {
+        let from = self.written;
+        let end = from + max;
+        assert!(self.start + end <= self.pv.n, "write past end of buffer");
+        // SAFETY: `start <= n` (asserted above), so the offset stays
+        // inside the allocation.
+        let base = unsafe { self.pv.ptr.add(self.start) };
+        let needs_drop = std::mem::needs_drop::<T>();
+        let written = &mut self.written;
+        let mut err = None;
+        let (next, _) = stream::fold_chunks(stream, from, end, from, |i, x| match f(x) {
+            Ok(y) => {
+                // SAFETY: `i` starts at `from` and grows by one per
+                // folded element, and the chunk loop folds at most
+                // `end - from` elements (the `BlockStream` contract),
+                // so `i < end`: in bounds (asserted above), and each
+                // slot of the region is written once.
+                unsafe { base.add(i).write(y) };
+                if needs_drop {
+                    *written = i + 1;
+                }
+                ControlFlow::Continue(i + 1)
+            }
+            Err(e) => {
+                err = Some(e);
+                ControlFlow::Break(i)
+            }
+        });
+        self.written = next;
+        counters::count_writes(next - from);
+        match err {
+            Some(e) => Err(e),
+            None => Ok(next - from),
+        }
     }
 
     /// Number of elements pushed so far.

@@ -48,13 +48,14 @@ pub fn generate(p: Params) -> (Vec<u8>, Vec<u8>) {
     )
 }
 
+/// The carry class of a digit sum. Branch-free: the fused scan of the
+/// `delay` version evaluates it twice per digit, and on random digits a
+/// three-way `match` compiles to a branch that mispredicts about half
+/// the time.
 #[inline]
 fn classify(sum: u16) -> Carry {
-    match sum.cmp(&0xFF) {
-        std::cmp::Ordering::Less => KILL,
-        std::cmp::Ordering::Equal => PROP,
-        std::cmp::Ordering::Greater => GEN,
-    }
+    // KILL (0) unless the sum carries out or passes a carry through.
+    (u8::from(sum > 0xFF) * GEN) | (u8::from(sum == 0xFF) * PROP)
 }
 
 #[inline]
@@ -171,6 +172,18 @@ mod tests {
         let (digits, carry) = run_delay(&[200], &[100]);
         assert_eq!(digits, vec![44]);
         assert!(carry);
+    }
+
+    #[test]
+    fn classify_matches_three_way_match_on_every_digit_sum() {
+        for sum in 0..=2 * 0xFFu16 {
+            let want = match sum.cmp(&0xFF) {
+                std::cmp::Ordering::Less => KILL,
+                std::cmp::Ordering::Equal => PROP,
+                std::cmp::Ordering::Greater => GEN,
+            };
+            assert_eq!(classify(sum), want, "digit sum {sum}");
+        }
     }
 
     #[test]
