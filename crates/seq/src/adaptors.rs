@@ -10,14 +10,14 @@
 //! and forwards geometry resolution inward with that cost added, so the
 //! source's [`LazyBlockSize`] resolves against the *total* pipeline cost.
 
-use std::mem::{self, MaybeUninit};
+use std::mem;
 use std::ops::ControlFlow;
 
 use bds_cost::{ElemCost, SIMPLE};
 
 use crate::policy::LazyBlockSize;
 use crate::simd::CHUNK;
-use crate::stream::{fold_by_next, BlockStream};
+use crate::stream::{fold_by_next, BlockStream, ChunkBuffer, LOCKSTEP_MAX_ITEM};
 use crate::traits::{RadBlock, RadSeq, Seq};
 
 // ---------------------------------------------------------------------
@@ -332,37 +332,6 @@ where
     }
 }
 
-/// Largest left-side element, in bytes, that a zip buffers for
-/// lockstep; larger elements zip one `next()` at a time. Keeps the
-/// stack buffer at most `CHUNK * 32` bytes (32 KiB).
-const LOCKSTEP_MAX_ITEM: usize = 32;
-
-/// The stack buffer of one lockstep step: slots `taken..filled` hold
-/// left-side elements not yet combined. Dropping it drops exactly
-/// those, so a panic mid-step (in either side's production or in the
-/// consumer) leaks nothing and drops nothing twice.
-struct Lockstep<T> {
-    slots: [MaybeUninit<T>; CHUNK],
-    filled: usize,
-    taken: usize,
-}
-
-impl<T> Drop for Lockstep<T> {
-    fn drop(&mut self) {
-        if mem::needs_drop::<T>() {
-            // SAFETY: slots `taken..filled` are initialized and were
-            // not moved out (both counts are kept current per element
-            // for types that need dropping).
-            unsafe {
-                std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(
-                    self.slots.as_mut_ptr().add(self.taken).cast::<T>(),
-                    self.filled - self.taken,
-                ));
-            }
-        }
-    }
-}
-
 /// Lockstep zip: fold side `a` for up to one chunk into a stack buffer,
 /// then fold side `b` over the same count, combining each `b` element
 /// with its buffered partner. Both sides keep their own chunked loops,
@@ -381,11 +350,7 @@ where
     let mut done = 0;
     while done < n {
         let want = (n - done).min(CHUNK);
-        let mut buf = Lockstep::<IA::Item> {
-            slots: [const { MaybeUninit::uninit() }; CHUNK],
-            filled: 0,
-            taken: 0,
-        };
+        let mut buf = ChunkBuffer::<IA::Item>::new();
         let slots = buf.slots.as_mut_ptr().cast::<IA::Item>();
         let filled = &mut buf.filled;
         let (ka, _) = z.a.fold_upto(want, 0, |i, x| {

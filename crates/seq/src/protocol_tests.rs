@@ -6,8 +6,10 @@
 //! `next()`; cancellation must still be observed within one poll
 //! interval; and a panic in the middle of a chunk — in a zip's lockstep
 //! buffer or in a materializing write — must neither leak nor drop an
-//! element twice. These are lib tests so the Miri job covers the
-//! `unsafe` the protocol relies on.
+//! element twice. The same holds for the filter's branch-free survivor
+//! packing ([`crate::stream::filter_parts`]) in every lowering. These
+//! are lib tests so the Miri job covers the `unsafe` the protocol
+//! relies on.
 
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -15,9 +17,10 @@ use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 
 use bds_pool::{thread_ticker_polls, PollTicker};
 
+use crate::dynseq::DSeq;
 use crate::prelude::*;
 use crate::simd::CHUNK;
-use crate::stream::{fold_chunks, BlockStream};
+use crate::stream::{fold_chunks, pack_block, BlockStream, LOCKSTEP_MAX_ITEM};
 use crate::{append, map_with_index, BoxSeq, Flattened, Forced};
 
 const LENGTHS: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17];
@@ -295,4 +298,283 @@ fn retried_mid_chunk_fault_is_bit_identical() {
     assert_eq!(live.load(Ordering::Relaxed), N as isize);
     drop(retried);
     assert_eq!(live.load(Ordering::Relaxed), 0);
+}
+
+// ---------------------------------------------------------------------
+// Survivor packing
+// ---------------------------------------------------------------------
+
+/// Selectivities: none, every element, alternating, pseudo-random.
+const SELECTIVITIES: [&str; 4] = ["0%", "100%", "alternating", "random"];
+
+/// Whether `x` survives under selectivity `sel` (an index into
+/// [`SELECTIVITIES`]). The test data `7i + 1` alternates in parity.
+fn keeps(sel: usize, x: u64) -> bool {
+    match sel {
+        0 => false,
+        1 => true,
+        2 => x.is_multiple_of(2),
+        _ => x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 1,
+    }
+}
+
+#[test]
+fn filter_lowerings_match_the_sequential_oracle() {
+    for bs in [7, CHUNK] {
+        let _g = crate::policy::test_sync::test_force(bs);
+        for n in LENGTHS {
+            let data: Vec<u64> = (0..n as u64).map(|i| i * 7 + 1).collect();
+            for (sel, name) in SELECTIVITIES.iter().enumerate() {
+                let what = format!("n = {n}, block size {bs}, selectivity {name}");
+                let pred = move |x: &u64| keeps(sel, *x);
+                let f = move |x: u64| keeps(sel, x).then_some(x * 3);
+                let want: Vec<u64> = data.iter().copied().filter(pred).collect();
+                let want_op: Vec<u64> = data.iter().copied().filter_map(f).collect();
+                let forced = || Forced::from_vec(data.clone());
+                assert_eq!(
+                    from_slice(&data).filter(pred).to_vec(),
+                    want,
+                    "static filter, {what}"
+                );
+                assert_eq!(
+                    from_slice(&data).filter_op(f).to_vec(),
+                    want_op,
+                    "static filter_op, {what}"
+                );
+                assert_eq!(
+                    BoxSeq::new(forced()).filter(pred).to_vec(),
+                    want,
+                    "BoxSeq filter, {what}"
+                );
+                assert_eq!(
+                    BoxSeq::new(forced()).filter_op(f).to_vec(),
+                    want_op,
+                    "BoxSeq filter_op, {what}"
+                );
+                assert_eq!(
+                    DSeq::from_vec(data.clone()).filter(pred).to_vec(),
+                    want,
+                    "DSeq filter, {what}"
+                );
+                assert_eq!(
+                    DSeq::from_vec(data.clone()).filter_op(f).to_vec(),
+                    want_op,
+                    "DSeq filter_op, {what}"
+                );
+            }
+        }
+    }
+}
+
+/// Pack every block of `s` through `keep` with the chunked pack loop
+/// and with per-element `next()`, and compare survivors and the ticker
+/// polls each cost.
+fn check_pack<S, U>(what: &str, s: &S, keep: impl Fn(S::Item) -> Option<U>)
+where
+    S: Seq,
+    U: PartialEq + std::fmt::Debug,
+{
+    for j in 0..s.num_blocks() {
+        let before = thread_ticker_polls();
+        let mut want = Vec::new();
+        for x in s.block(j) {
+            if let Some(y) = keep(x) {
+                want.push(y);
+            }
+        }
+        let want = (want, thread_ticker_polls() - before);
+        let before = thread_ticker_polls();
+        let got = pack_block(&mut s.block(j), &keep);
+        assert_eq!(
+            (got, thread_ticker_polls() - before),
+            want,
+            "{what}, block {j}"
+        );
+    }
+}
+
+#[test]
+fn pack_loop_matches_per_element_packing_and_polls() {
+    // Items whose `Option` exceeds the stack buffer's bound take the
+    // per-element fallback; 16-byte points stay buffered.
+    assert!(std::mem::size_of::<Option<[u64; 4]>>() > LOCKSTEP_MAX_ITEM);
+    assert!(std::mem::size_of::<Option<(f64, f64)>>() <= LOCKSTEP_MAX_ITEM);
+    for bs in [7, CHUNK, 4 * CHUNK] {
+        let _g = crate::policy::test_sync::test_force(bs);
+        for n in LENGTHS {
+            let data: Vec<u64> = (0..n as u64).map(|i| i * 7 + 1).collect();
+            for (sel, name) in SELECTIVITIES.iter().enumerate() {
+                let what =
+                    |block: &str| format!("{block}, n = {n}, block size {bs}, selectivity {name}");
+                let keep = move |x: u64| keeps(sel, x).then_some(x);
+                check_pack(&what("slice"), &from_slice(&data), keep);
+                check_pack(&what("tabulate"), &tabulate(n, |i| i as u64 * 7 + 1), keep);
+                check_pack(&what("map"), &from_slice(&data).map(|x| x ^ 4), keep);
+                let (scanned, _) = from_slice(&data).scan(0, |a, b| a + b);
+                check_pack(&what("scan"), &scanned, keep);
+                check_pack(
+                    &what("zip"),
+                    &from_slice(&data).zip(tabulate(n, |i| i)),
+                    |(x, i)| keeps(sel, x).then_some((x, i)),
+                );
+                check_pack(
+                    &what("boxed"),
+                    &BoxSeq::new(Forced::from_vec(data.clone())),
+                    keep,
+                );
+                check_pack(&what("points"), &from_slice(&data), |x| {
+                    keeps(sel, x).then_some((x as f64, -(x as f64)))
+                });
+                check_pack(&what("large items (fallback)"), &from_slice(&data), |x| {
+                    keeps(sel, x).then_some([x; 4])
+                });
+            }
+        }
+    }
+}
+
+static PRED_LIVE: AtomicIsize = AtomicIsize::new(0);
+static MAP_LIVE: AtomicIsize = AtomicIsize::new(0);
+
+/// The panic-site probe of the pack-loop tests: panics on element `AT`.
+fn boom_at(v: u64) {
+    if v == AT as u64 {
+        panic!("mid-chunk fault");
+    }
+}
+
+/// Run `f`, expecting it to panic, and check that `live` is back at 0.
+fn panics_cleanly<R>(what: &str, live: &AtomicIsize, f: impl FnOnce() -> R) {
+    let r = quietly(|| catch_unwind(AssertUnwindSafe(f)));
+    assert!(r.is_err(), "{what}: the fault must surface");
+    assert_eq!(
+        live.load(Ordering::Relaxed),
+        0,
+        "{what}: leak or double drop"
+    );
+}
+
+#[test]
+fn panic_inside_the_pack_loop_neither_leaks_nor_double_drops() {
+    // One block holds the first two chunks, so the panic at `AT` fires
+    // with one chunk of survivors already packed and half a chunk
+    // buffered.
+    let _g = crate::policy::test_sync::test_force(2 * CHUNK);
+    let live = &PRED_LIVE;
+    let tracked = |i: usize| Tracked::new(i as u64, &PRED_LIVE);
+    let pred = |t: &Tracked<'static>| {
+        boom_at(*t.v);
+        !t.v.is_multiple_of(3)
+    };
+    panics_cleanly("static filter", live, || {
+        tabulate(N, tracked).filter(pred).to_vec()
+    });
+    panics_cleanly("BoxSeq filter", live, || {
+        BoxSeq::new(tabulate(N, tracked)).filter(pred).to_vec()
+    });
+    panics_cleanly("DSeq filter", live, || {
+        DSeq::tabulate(N, tracked).filter(pred).to_vec()
+    });
+
+    // `f` panics while both its input and earlier outputs are live.
+    let live = &MAP_LIVE;
+    let tracked = |i: usize| Tracked::new(i as u64, &MAP_LIVE);
+    let f = |t: Tracked<'static>| {
+        boom_at(*t.v);
+        (!t.v.is_multiple_of(3)).then(|| Tracked::new(*t.v * 2, t.live))
+    };
+    panics_cleanly("static filter_op", live, || {
+        tabulate(N, tracked).filter_op(f).to_vec()
+    });
+    panics_cleanly("BoxSeq filter_op", live, || {
+        BoxSeq::new(tabulate(N, tracked)).filter_op(f).to_vec()
+    });
+    panics_cleanly("DSeq filter_op", live, || {
+        DSeq::tabulate(N, tracked).filter_op(f).to_vec()
+    });
+}
+
+static RETRY_LIVE: AtomicIsize = AtomicIsize::new(0);
+static RETRY_FIRED: AtomicBool = AtomicBool::new(false);
+
+#[test]
+fn retried_fault_in_the_pack_loop_is_bit_identical() {
+    let _g = crate::policy::test_sync::test_force(2 * CHUNK);
+    let tracked = |i: usize| Tracked::new(i as u64, &RETRY_LIVE);
+    let f = |t: Tracked<'static>| {
+        if *t.v == AT as u64 && !RETRY_FIRED.swap(true, Ordering::Relaxed) {
+            panic!("transient mid-chunk fault");
+        }
+        keeps(3, *t.v).then_some(t)
+    };
+    let values = |v: Vec<Tracked<'static>>| v.iter().map(|t| *t.v).collect::<Vec<u64>>();
+    let lowerings: [(&str, &dyn Fn() -> Vec<Tracked<'static>>); 3] = [
+        ("static", &|| tabulate(N, tracked).filter_op(f).to_vec()),
+        ("BoxSeq", &|| {
+            BoxSeq::new(tabulate(N, tracked)).filter_op(f).to_vec()
+        }),
+        ("DSeq", &|| DSeq::tabulate(N, tracked).filter_op(f).to_vec()),
+    ];
+    for (what, pipeline) in lowerings {
+        RETRY_FIRED.store(true, Ordering::Relaxed);
+        let clean = values(pipeline());
+        RETRY_FIRED.store(false, Ordering::Relaxed);
+        let retried =
+            quietly(|| bds_pool::run_recovered(bds_pool::RetryPolicy::default(), pipeline))
+                .expect("a transient fault is retried");
+        assert!(
+            RETRY_FIRED.load(Ordering::Relaxed),
+            "{what}: the fault fired"
+        );
+        assert_eq!(
+            RETRY_LIVE.load(Ordering::Relaxed),
+            retried.len() as isize,
+            "{what}: live survivors"
+        );
+        assert_eq!(values(retried), clean, "{what}");
+        assert_eq!(
+            RETRY_LIVE.load(Ordering::Relaxed),
+            0,
+            "{what}: leak after drop"
+        );
+    }
+}
+
+#[test]
+fn cancellation_inside_the_pack_loop_is_observed_within_one_interval() {
+    const N: usize = 100_000;
+    const K: usize = 10_000;
+    let _g = crate::policy::test_sync::test_force(N);
+    let bound = K + PollTicker::INTERVAL as usize;
+    for what in ["static", "BoxSeq", "DSeq"] {
+        let token = bds_pool::CancelToken::new();
+        let produced = std::sync::Arc::new(AtomicUsize::new(0));
+        // Owned handles, so the erased lowerings get a `'static` source.
+        let (t, p) = (token.clone(), std::sync::Arc::clone(&produced));
+        let index = move |i: usize| {
+            if p.fetch_add(1, Ordering::Relaxed) + 1 == K {
+                t.cancel();
+            }
+            i as u64
+        };
+        let even = |x: &u64| x.is_multiple_of(2);
+        let outcome = quietly(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                bds_pool::with_token(&token, || match what {
+                    "static" => tabulate(N, index).filter(even).len(),
+                    "BoxSeq" => BoxSeq::new(tabulate(N, index)).filter(even).len(),
+                    _ => DSeq::tabulate(N, index).filter(even).len(),
+                })
+            }))
+        });
+        assert!(
+            outcome.is_err(),
+            "{what}: a cancelled block must be abandoned"
+        );
+        let seen = produced.load(Ordering::Relaxed);
+        assert!(
+            seen <= bound,
+            "{what}: {seen} elements produced, bound {bound}"
+        );
+    }
 }

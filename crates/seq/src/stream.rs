@@ -48,8 +48,12 @@
 //!    composing their step into the fold, zips in lockstep through a
 //!    stack buffer — instead of one nested `next()` call per element.
 //!    Materialization writes the chunk into its region through a local
-//!    index. Streams without a chunked loop (the erased and dynamic
-//!    lowerings' boxed iterators) fall back to `next()`.
+//!    index. Survivor packing ([`filter_parts`]) writes every `keep`
+//!    result of the chunk, `Some` or `None`, into a stack slot at a
+//!    cursor that advances by `is_some()`, then moves the chunk's
+//!    survivors into the block's `Vec` at once — no data-dependent
+//!    `push` per survivor. Streams without a chunked loop (the erased
+//!    and dynamic lowerings' boxed iterators) fall back to `next()`.
 //!    Every block body runs under [`bds_pool::recover_block`]
 //!    ([`bds_pool::recover_effect_block`] for the side-effecting
 //!    `for_each` loops): when an enclosing
@@ -78,7 +82,9 @@
 //! every instantiation and identical to the slice kernels in
 //! [`crate::simd`].
 
+use std::mem::{self, MaybeUninit};
 use std::ops::ControlFlow;
+use std::ptr;
 
 use bds_cost::{ElemCost, SIMPLE};
 
@@ -259,6 +265,52 @@ where
         }
     })
     .0
+}
+
+/// Largest item, in bytes, that a chunk loop stages in a
+/// [`ChunkBuffer`] — a zip's left side
+/// ([`crate::adaptors::ZipWithBlock`]) and a filter's `Option` survivor
+/// slots ([`filter_parts`]); larger items go one element at a time.
+/// Keeps each buffer at most `CHUNK * 32` bytes (32 KiB).
+pub(crate) const LOCKSTEP_MAX_ITEM: usize = 32;
+
+/// The stack buffer of one chunk step: slots `taken..filled` hold items
+/// not yet moved out. Dropping it drops exactly those, so a panic
+/// mid-chunk (in production, in a closure, or in the consumer) leaks
+/// nothing and drops nothing twice. Users keep both counts current per
+/// element for types that need dropping.
+pub(crate) struct ChunkBuffer<T> {
+    pub(crate) slots: [MaybeUninit<T>; CHUNK],
+    pub(crate) filled: usize,
+    pub(crate) taken: usize,
+}
+
+impl<T> ChunkBuffer<T> {
+    /// An empty buffer.
+    #[inline]
+    pub(crate) fn new() -> Self {
+        ChunkBuffer {
+            slots: [const { MaybeUninit::uninit() }; CHUNK],
+            filled: 0,
+            taken: 0,
+        }
+    }
+}
+
+impl<T> Drop for ChunkBuffer<T> {
+    fn drop(&mut self) {
+        if mem::needs_drop::<T>() {
+            // SAFETY: slots `taken..filled` are initialized and were
+            // not moved out (both counts are kept current per element
+            // for types that need dropping).
+            unsafe {
+                ptr::drop_in_place(ptr::slice_from_raw_parts_mut(
+                    self.slots.as_mut_ptr().add(self.taken).cast::<T>(),
+                    self.filled - self.taken,
+                ));
+            }
+        }
+    }
 }
 
 // SAFETY (all three): the default `fold_upto` folds at most `n`
@@ -598,8 +650,8 @@ where
 }
 
 /// Blockwise survivor packing, the eager phase of `filter`/`filter_op`
-/// (Figure 10, lines 48-53): stream each block through `keep` (which
-/// appends 0 or 1 elements per input element) into a small dense array,
+/// (Figure 10, lines 48-53): stream each block through `keep` (`Some`
+/// keeps an element, `None` drops it) into a small dense array,
 /// charging each block's survivors against the ambient memory budget.
 /// The caller flattens the parts (the static lowering wraps each in a
 /// [`Forced`]; [`crate::dynseq::DSeq`] feeds them to `flatten_parts`).
@@ -607,7 +659,7 @@ pub fn filter_parts<S, U, K>(s: &S, keep: &K) -> Vec<Vec<U>>
 where
     S: IndexedStream + ?Sized,
     U: Send,
-    K: Fn(S::Item, &mut Vec<U>) + Sync,
+    K: Fn(S::Item) -> Option<U> + Sync,
 {
     // Packing streams every element once through the predicate and may
     // allocate a survivor.
@@ -617,8 +669,7 @@ where
         record(Stage::FilterEager, g);
     }
     per_block(s, g, |_, mut stream| {
-        let mut kept: Vec<U> = Vec::new();
-        fold_rest(&mut stream, 0, (), |(), x| keep(x, &mut kept));
+        let kept = pack_block(&mut stream, keep);
         // Survivors are the filter's real allocation; charge them
         // against the ambient memory budget (abandons the region on
         // exhaustion — the survivor vec is dropped normally).
@@ -627,6 +678,61 @@ where
         counters::count_allocs(kept.len());
         kept
     })
+}
+
+/// Pack one block's survivors without a data-dependent branch: per
+/// [`CHUNK`]-element `fold_upto` call, every `keep` result is written
+/// to the stack slot at cursor `k`, and `k` advances by `is_some()` — a
+/// `None` is simply overwritten by the next element. After the chunk
+/// the `k` survivors move into the block's `Vec` with one `reserve` and
+/// one `extend`. The buffer's slots `0..filled` are the survivors, so
+/// a panic mid-chunk drops exactly those. Items whose `Option` exceeds
+/// [`LOCKSTEP_MAX_ITEM`] are pushed one at a time.
+pub(crate) fn pack_block<I, U, K>(stream: &mut I, keep: &K) -> Vec<U>
+where
+    I: BlockStream + ?Sized,
+    K: Fn(I::Item) -> Option<U>,
+{
+    let mut kept = Vec::new();
+    if mem::size_of::<Option<U>>() > LOCKSTEP_MAX_ITEM {
+        fold_rest(stream, 0, (), |(), x| {
+            if let Some(y) = keep(x) {
+                kept.push(y);
+            }
+        });
+        return kept;
+    }
+    let needs_drop = mem::needs_drop::<U>();
+    let mut buf = ChunkBuffer::<Option<U>>::new();
+    loop {
+        let slots = buf.slots.as_mut_ptr().cast::<Option<U>>();
+        let filled = &mut buf.filled;
+        let (k, folded) = stream.fold_upto(CHUNK, 0, |k, x| {
+            let y = keep(x);
+            let next = k + usize::from(y.is_some());
+            // SAFETY: the stream folds at most `CHUNK` elements per call
+            // (the `BlockStream` contract) and `k` counts survivors among
+            // the ones before this element, so `k < CHUNK`. Slot `k`
+            // holds no live survivor (those are `0..k`), so overwriting
+            // it leaks nothing.
+            unsafe { slots.add(k).write(y) };
+            if needs_drop {
+                *filled = next;
+            }
+            ControlFlow::Continue(next)
+        });
+        buf.filled = k;
+        // The buffer still owns the survivors if this allocation panics.
+        kept.reserve(k);
+        buf.filled = 0;
+        // SAFETY: the cursor only ever moved past a `Some`, and later
+        // writes land at or beyond it, so slots `0..k` hold survivors;
+        // each is read exactly once, and the buffer no longer owns them.
+        kept.extend((0..k).map(|i| unsafe { slots.add(i).read().unwrap_unchecked() }));
+        if folded < CHUNK {
+            return kept;
+        }
+    }
 }
 
 /// Scan phases 1-2, shared by both scan flavors: per-block sums (fused
@@ -842,11 +948,7 @@ mod tests {
         assert_eq!(v, (0..100).collect::<Vec<u64>>());
         assert_eq!(reduce(&of_seq(&s), 0, &|a, b| a + b), 4950);
         assert_eq!(count(&of_seq(&s), &|&x| x % 2 == 0), 50);
-        let parts = filter_parts(&of_seq(&s), &|x, out: &mut Vec<u64>| {
-            if x < 10 {
-                out.push(x);
-            }
-        });
+        let parts = filter_parts(&of_seq(&s), &|x| (x < 10).then_some(x));
         let survivors: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(survivors, 10);
     }

@@ -35,19 +35,27 @@ pub fn generate(p: Params) -> Vec<u8> {
     crate::inputs::random_text(p.n, p.seed)
 }
 
+// The predicates below are branch-free: they always load a neighbour
+// byte (clamped to the text at its edges) and combine the tests with
+// bitwise `&`/`|`, so a filter over them carries no data-dependent
+// branch for random text to mispredict.
+
 #[inline]
 fn is_space(c: u8) -> bool {
-    c == b' ' || c == b'\n' || c == b'\t'
+    (c == b' ') | (c == b'\n') | (c == b'\t')
 }
 
 #[inline]
 fn is_start(text: &[u8], i: usize) -> bool {
-    !is_space(text[i]) && (i == 0 || is_space(text[i - 1]))
+    let prev = text[i.saturating_sub(1)];
+    !is_space(text[i]) & ((i == 0) | is_space(prev))
 }
 
 #[inline]
 fn is_end(text: &[u8], i: usize) -> bool {
-    !is_space(text[i]) && (i + 1 == text.len() || is_space(text[i + 1]))
+    let last = text.len() - 1;
+    let next = text[(i + 1).min(last)];
+    !is_space(text[i]) & ((i == last) | is_space(next))
 }
 
 /// Sequential reference: the token `(start, end)` ranges (inclusive
@@ -110,6 +118,37 @@ pub fn checksum(tokens: &[(u32, u32)]) -> (usize, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn old_is_space(c: u8) -> bool {
+        c == b' ' || c == b'\n' || c == b'\t'
+    }
+
+    fn old_is_start(text: &[u8], i: usize) -> bool {
+        !old_is_space(text[i]) && (i == 0 || old_is_space(text[i - 1]))
+    }
+
+    fn old_is_end(text: &[u8], i: usize) -> bool {
+        !old_is_space(text[i]) && (i + 1 == text.len() || old_is_space(text[i + 1]))
+    }
+
+    #[test]
+    fn branch_free_predicates_match_short_circuit_forms() {
+        for a in 0..=255u8 {
+            assert_eq!(is_space(a), old_is_space(a), "is_space({a})");
+            // Both text edges: a one-byte text is its own first and last.
+            assert_eq!(is_start(&[a], 0), old_is_start(&[a], 0), "start of [{a}]");
+            assert_eq!(is_end(&[a], 0), old_is_end(&[a], 0), "end of [{a}]");
+            for b in 0..=255u8 {
+                let t = [a, b];
+                // (previous, current) at index 1, (current, next) at 0,
+                // plus the first byte's start and the last byte's end.
+                assert_eq!(is_start(&t, 1), old_is_start(&t, 1), "start of {t:?} at 1");
+                assert_eq!(is_end(&t, 0), old_is_end(&t, 0), "end of {t:?} at 0");
+                assert_eq!(is_start(&t, 0), old_is_start(&t, 0), "start of {t:?} at 0");
+                assert_eq!(is_end(&t, 1), old_is_end(&t, 1), "end of {t:?} at 1");
+            }
+        }
+    }
 
     #[test]
     fn all_versions_match_reference() {

@@ -46,14 +46,18 @@ pub struct WcResult {
 
 #[inline]
 fn is_space(c: u8) -> bool {
-    c == b' ' || c == b'\n' || c == b'\t'
+    (c == b' ') | (c == b'\n') | (c == b'\t')
 }
 
+/// Branch-free: the previous byte is always loaded (clamped to the
+/// first byte at the text's start) and the tests combine with bitwise
+/// `&`/`|`.
 #[inline]
 fn triple(text: &[u8], i: usize) -> (u64, u64, u64) {
     let c = text[i];
+    let prev = text[i.saturating_sub(1)];
     let line = u64::from(c == b'\n');
-    let word = u64::from(!is_space(c) && (i == 0 || is_space(text[i - 1])));
+    let word = u64::from(!is_space(c) & ((i == 0) | is_space(prev)));
     (line, word, 1)
 }
 
@@ -220,6 +224,31 @@ pub fn run_rad(text: &[u8]) -> WcResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn old_is_space(c: u8) -> bool {
+        c == b' ' || c == b'\n' || c == b'\t'
+    }
+
+    fn old_triple(text: &[u8], i: usize) -> (u64, u64, u64) {
+        let c = text[i];
+        let line = u64::from(c == b'\n');
+        let word = u64::from(!old_is_space(c) && (i == 0 || old_is_space(text[i - 1])));
+        (line, word, 1)
+    }
+
+    #[test]
+    fn branch_free_triple_matches_short_circuit_form() {
+        for a in 0..=255u8 {
+            assert_eq!(is_space(a), old_is_space(a), "is_space({a})");
+            // The text's first byte has no previous byte.
+            assert_eq!(triple(&[a], 0), old_triple(&[a], 0), "[{a}] at 0");
+            for b in 0..=255u8 {
+                let t = [a, b];
+                assert_eq!(triple(&t, 0), old_triple(&t, 0), "{t:?} at 0");
+                assert_eq!(triple(&t, 1), old_triple(&t, 1), "{t:?} at 1");
+            }
+        }
+    }
 
     #[test]
     fn rad_version_agrees() {

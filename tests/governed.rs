@@ -84,8 +84,8 @@ fn deadline_cancels_a_huge_pipeline_within_two_x() {
     let live_after = heap_stats().live;
     assert_eq!(
         live_after, live_before,
-        "governed run leaked {} bytes",
-        live_after.saturating_sub(live_before)
+        "governed run moved the live heap by {:+} bytes",
+        live_after as i128 - live_before as i128
     );
 }
 
@@ -112,8 +112,8 @@ fn memory_budget_refuses_materialization_without_leaking() {
     let live_after = heap_stats().live;
     assert_eq!(
         live_after, live_before,
-        "refused materialization leaked {} bytes",
-        live_after.saturating_sub(live_before)
+        "refused materialization moved the live heap by {:+} bytes",
+        live_after as i128 - live_before as i128
     );
 }
 
