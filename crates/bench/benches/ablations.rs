@@ -1,9 +1,10 @@
 //! Ablation benches for the design decisions called out in DESIGN.md:
 //!
 //! 1. **dispatch** — static trait dispatch (our default, like the
-//!    paper's C++ templates) vs the paper-faithful ML-style tagged union
-//!    with boxed closures (`bds_seq::dynseq`). Fusion happens in both;
-//!    the delta is pure indirect-call overhead.
+//!    paper's C++ templates) vs every stage erased behind
+//!    `bds_seq::BoxSeq`, so each element pays one indirect `next()` per
+//!    stage. Both run the same drive loops; the delta is pure
+//!    indirect-call overhead.
 //! 2. **blocksize** — the delay bestcut across forced block sizes,
 //!    probing the granularity trade-off of the block policy.
 //! 3. **force-vs-refuse** — recompute a shared delayed map twice vs
@@ -13,8 +14,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use bds_seq::dynseq::DSeq;
 use bds_seq::prelude::*;
+use bds_seq::{BoxSeq, Forced};
 use bds_workloads::bestcut;
 
 const N: usize = 400_000;
@@ -31,10 +32,9 @@ fn bench_dispatch(c: &mut Criterion) {
     g.bench_function(BenchmarkId::from_parameter("dynamic"), |b| {
         let data = xs.clone();
         b.iter(|| {
-            let (s, _) = DSeq::from_vec(data.clone())
-                .map(|x| x * 2 + 1)
-                .scan(0, |a, b| a + b);
-            s.map(|x| x ^ 0x55).reduce(0, u64::max)
+            let src = BoxSeq::new(Forced::from_vec(data.clone()));
+            let (s, _) = BoxSeq::new(src.map(|x| x * 2 + 1)).scan(0, |a, b| a + b);
+            BoxSeq::new(BoxSeq::new(s).map(|x| x ^ 0x55)).reduce(0, u64::max)
         })
     });
     g.finish();

@@ -3,7 +3,7 @@
 //!
 //! Differential confidence is only as good as the cross product the
 //! fuzz loop actually visited: a divergence in, say, `Flatten` sources
-//! under the `dynseq` lowering at `Forced(7)` geometry can only be
+//! under the `delay` lowering at `Forced(7)` geometry can only be
 //! caught if that cell was ever populated. The ledger counts, for
 //! every evaluated matrix leg, one hit per AST node occurrence in the
 //! pipeline, keyed by `(node kind, lowering, geometry)`. The fuzz
@@ -224,10 +224,10 @@ mod tests {
         let mut other = sample();
         other.source = Source::FromVec(vec![1, 2, 3]);
         other.fault = None;
-        record_leg(&other, "dynseq", Some(Geom::Forced(7)));
+        record_leg(&other, "planraw", Some(Geom::Forced(7)));
         let table = render();
-        // src:iota was never run under the dynseq/Forced(7) leg.
-        assert!(table.contains("src:iota x dynseq x Forced(7)"), "{table}");
+        // src:iota was never run under the planraw/Forced(7) leg.
+        assert!(table.contains("src:iota x planraw x Forced(7)"), "{table}");
         reset();
     }
 }

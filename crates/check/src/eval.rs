@@ -1,6 +1,6 @@
 //! Lowering one [`Pipeline`] AST onto each implementation under test.
 //!
-//! Five evaluators share one closure-builder layer, so a poisoned
+//! Four evaluators share one closure-builder layer, so a poisoned
 //! closure has **identical** semantics everywhere — the only thing that
 //! differs between evaluators is which library executes it:
 //!
@@ -10,7 +10,6 @@
 //! | [`eval_array`]   | `bds_baseline::array` (eager, unfused) | `Vec<u64>` |
 //! | [`eval_rad`]     | `bds_baseline::rad` (index fusion) | composed `Fn(usize) -> u64` |
 //! | [`eval_delay`]   | `bds_seq` (static block-delayed) | [`BoxRad`]/[`BoxSeq`] |
-//! | [`eval_dynseq`]  | `bds_seq::dynseq` (dynamic tagged union) | [`DSeq`] |
 //!
 //! Evaluators return an [`Outcome`] or panic/`Err` exactly where the
 //! underlying library would; the runner wraps each call in
@@ -25,7 +24,6 @@
 use std::sync::Arc;
 
 use bds_baseline::{array, rad};
-use bds_seq::dynseq::DSeq;
 use bds_seq::prelude::*;
 use bds_seq::{tabulate, BoxRad, BoxSeq, Forced};
 
@@ -811,21 +809,16 @@ pub fn eval_delay(p: &Pipeline) -> Outcome {
 
 /// Shared consumer lowering for both erased representations: each arm
 /// calls the unified indexed-stream drive loops (`bds_seq::stream`)
-/// through the same `of_seq` instantiation the monomorphized pipelines
-/// use — the erased leg differs from the static one only in its boxed
-/// block streams, never in the engine.
+/// the monomorphized pipelines use — the erased leg differs from the
+/// static one only in its boxed block streams, never in the engine.
 fn consume_seq<S: Seq<Item = u64>>(s: S, p: &Pipeline) -> Outcome {
     use bds_seq::stream;
     match p.consumer {
-        Consumer::ToVec => Outcome::Value(stream::to_vec(&stream::of_seq(&s))),
+        Consumer::ToVec => Outcome::Value(stream::to_vec(&s)),
         Consumer::Force => Outcome::Value(s.force().as_slice().to_vec()),
-        Consumer::Reduce(c) => Outcome::Scalar(stream::reduce(
-            &stream::of_seq(&s),
-            c.identity(),
-            &comb_fn(c),
-        )),
+        Consumer::Reduce(c) => Outcome::Scalar(stream::reduce(&s, c.identity(), &comb_fn(c))),
         Consumer::Count(pr) => Outcome::Num(stream::count(
-            &stream::of_seq(&s),
+            &s,
             &pred_fn(pr, p.consumer_panic_poison()),
         )),
         Consumer::FilterCollect(pr) => {
@@ -833,7 +826,7 @@ fn consume_seq<S: Seq<Item = u64>>(s: S, p: &Pipeline) -> Outcome {
         }
         Consumer::TryReduce(c) => {
             let f = comb_fn(c);
-            match stream::try_reduce(&stream::of_seq(&s), c.identity(), &move |a, b| {
+            match stream::try_reduce(&s, c.identity(), &move |a, b| {
                 Ok::<u64, u64>(f(a, b))
             }) {
                 Ok(x) => Outcome::Scalar(x),
@@ -843,74 +836,6 @@ fn consume_seq<S: Seq<Item = u64>>(s: S, p: &Pipeline) -> Outcome {
         Consumer::TryFilterCollect(pr) => {
             let f = try_pred_fn(pr, p.consumer_panic_poison(), p.consumer_err_poison());
             match s.try_filter_collect(f) {
-                Ok(v) => Outcome::Value(v),
-                Err(e) => Outcome::ErrCode(e),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Dynamic tagged-union lowering (DSeq).
-// ---------------------------------------------------------------------
-
-/// Evaluate with [`DSeq`], the dynamic tagged-union representation:
-/// every stage is a direct `DSeq` method, so representation switches
-/// (RAD→BID at filters and scans, BID→RAD at forced cuts) follow the
-/// dynamic library's own rules including pinned-side-wins zips.
-pub fn eval_dynseq(p: &Pipeline) -> Outcome {
-    let mut d = match &p.source {
-        Source::Iota(n) => DSeq::tabulate(*n, |i| i as u64),
-        Source::TabAffine { n, a, b } => {
-            let (a, b) = (*a, *b);
-            DSeq::tabulate(*n, move |i| a.wrapping_mul(i as u64).wrapping_add(b))
-        }
-        Source::FromVec(data) => DSeq::from_vec(data.clone()),
-        Source::Flatten(parts) => DSeq::flatten_parts(parts.clone()),
-    };
-    for (i, stage) in p.stages.iter().enumerate() {
-        let poison = p.stage_panic_poison(i);
-        d = match stage {
-            Stage::Map(op) => d.map(map_fn(*op, poison)),
-            Stage::ZipIota(zc) => {
-                let zc = *zc;
-                let partner = DSeq::tabulate(d.len(), |i| i as u64);
-                d.zip(partner).map(move |(x, o)| zc.apply(x, o))
-            }
-            Stage::ZipData(zc, data) => {
-                let zc = *zc;
-                let data = Arc::new(data.clone());
-                let dlen = data.len();
-                let partner = DSeq::tabulate(d.len(), move |i| data[i % dlen]);
-                d.zip(partner).map(move |(x, o)| zc.apply(x, o))
-            }
-            Stage::Filter(pr) => d.filter(pred_fn(*pr, poison)),
-            Stage::FilterOp(pr, m) => d.filter_op(filter_op_fn(*pr, *m, poison)),
-            Stage::Scan(c) => d.scan(c.identity(), comb_fn(*c)).0,
-            Stage::ScanIncl(c) => d.scan_incl(c.identity(), comb_fn(*c)),
-            Stage::Take(k) => d.take(*k),
-            Stage::Skip(k) => d.skip(*k),
-            Stage::Rev => d.rev(),
-        };
-    }
-    match p.consumer {
-        Consumer::ToVec => Outcome::Value(d.to_vec()),
-        Consumer::Force => Outcome::Value(d.force().to_vec()),
-        Consumer::Reduce(c) => Outcome::Scalar(d.reduce(c.identity(), comb_fn(c))),
-        Consumer::Count(pr) => Outcome::Num(d.count(pred_fn(pr, p.consumer_panic_poison()))),
-        Consumer::FilterCollect(pr) => {
-            Outcome::Value(d.filter(pred_fn(pr, p.consumer_panic_poison())).to_vec())
-        }
-        Consumer::TryReduce(c) => {
-            let f = comb_fn(c);
-            match d.try_reduce(c.identity(), move |a, b| Ok::<u64, u64>(f(a, b))) {
-                Ok(x) => Outcome::Scalar(x),
-                Err(e) => Outcome::ErrCode(e),
-            }
-        }
-        Consumer::TryFilterCollect(pr) => {
-            let f = try_pred_fn(pr, p.consumer_panic_poison(), p.consumer_err_poison());
-            match d.try_filter_collect(f) {
                 Ok(v) => Outcome::Value(v),
                 Err(e) => Outcome::ErrCode(e),
             }
@@ -950,7 +875,6 @@ mod tests {
             assert_eq!(eval_array(&p), want, "array");
             assert_eq!(eval_rad(&p), want, "rad");
             assert_eq!(eval_delay(&p), want, "delay");
-            assert_eq!(eval_dynseq(&p), want, "dynseq");
         });
     }
 
@@ -971,7 +895,6 @@ mod tests {
             assert_eq!(eval_array(&p), want);
             assert_eq!(eval_rad(&p), want);
             assert_eq!(eval_delay(&p), want);
-            assert_eq!(eval_dynseq(&p), want);
         });
     }
 
@@ -994,7 +917,6 @@ mod tests {
             assert_eq!(eval_array(&p), want);
             assert_eq!(eval_rad(&p), want);
             assert_eq!(eval_delay(&p), want);
-            assert_eq!(eval_dynseq(&p), want);
         });
     }
 }

@@ -2,8 +2,8 @@
 //! [`Budget`] must refuse the budget the same way.
 //!
 //! For a (fault-free) pipeline and each governed lowering (`delay`,
-//! `dynseq` — the two that run on `bds-pool` and therefore observe
-//! budgets), three governed evaluations run:
+//! the one that runs on `bds-pool` and therefore observes budgets),
+//! three governed evaluations run:
 //!
 //! 1. **Expired deadline** — the deadline is already in the past at
 //!    entry, so the run is refused deterministically before any block
@@ -19,10 +19,9 @@
 //! `Err` of the **matching** [`Exceeded`] variant (`Deadline` for 1-2,
 //! `Memory` for 3), or `Ok` of a value **identical** to the ungoverned
 //! run's — never a partial result, never the wrong variant, never a
-//! panic escaping [`bds_pool::run_governed`]. A trip may legitimately
-//! differ *between* lowerings (they materialize at different program
-//! points, so a tiny budget can fit one and not the other); what may
-//! never differ is the value on `Ok`.
+//! panic escaping [`bds_pool::run_governed`]. Whether a tiny budget
+//! trips depends on where the lowering materializes; what may never
+//! differ is the value on `Ok`.
 
 use std::time::{Duration, Instant};
 
@@ -39,10 +38,7 @@ use crate::runner::{run_catching, Pools};
 /// observe budgets (the `array`/`rad` baselines have no cancellation
 /// machinery, so governing them would only measure the wrapper).
 #[allow(clippy::type_complexity)]
-const GOVERNED_EVALS: [(&str, fn(&Pipeline) -> Outcome); 2] = [
-    ("delay", eval::eval_delay),
-    ("dynseq", eval::eval_dynseq),
-];
+const GOVERNED_EVALS: [(&str, fn(&Pipeline) -> Outcome); 1] = [("delay", eval::eval_delay)];
 
 /// One violated governance invariant.
 #[derive(Debug, Clone)]

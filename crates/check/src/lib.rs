@@ -1,8 +1,9 @@
 //! # bds-check — differential correctness harness
 //!
 //! Seeded random-pipeline fuzzing across the three implementations this
-//! repo compares (`array`, `rad`, the static block-delayed `bds-seq`)
-//! plus the dynamic [`bds_seq::dynseq::DSeq`] union, against a
+//! repo compares (`array`, `rad`, and block-delayed `bds-seq`, lowered
+//! through the erased [`bds_seq::BoxRad`]/[`bds_seq::BoxSeq`] so the
+//! paper's runtime `RAD | BID` tag is exercised), against a
 //! straight-line sequential oracle — under a matrix of block-geometry
 //! policies and pool widths, with optional fault injection and
 //! bit-for-bit deterministic replay.
@@ -12,9 +13,9 @@
 //! - [`ast`]: the pipeline AST (sources, stages, consumers, faults) and
 //!   the [`ast::Outcome`] type evaluations are compared on.
 //! - [`gen`]: the seeded generator — one subseed, one pipeline.
-//! - [`eval`]: five lowerings of one AST, sharing one closure-builder
+//! - [`eval`]: four lowerings of one AST, sharing one closure-builder
 //!   layer so injected faults behave identically everywhere.
-//! - [`plan`]: a sixth and seventh lowering through the `bds-plan`
+//! - [`plan`]: a fifth and sixth lowering through the `bds-plan`
 //!   optimizer — the optimized plan (drawn from a shared shape-keyed
 //!   cache, so pipelines constantly *share* plans) and the un-rewritten
 //!   plan on the same executor. Disable with `--plan off`.

@@ -2,8 +2,8 @@
 //! *invisible* in values and *typed* in failures.
 //!
 //! For a pipeline carrying a panic-mode injected fault, each retried
-//! lowering (`delay`, `dynseq` — the two that run on `bds-pool` and
-//! therefore have block-granular recovery) is evaluated under every
+//! lowering (`delay`, the one that runs on `bds-pool` and therefore
+//! has block-granular recovery) is evaluated under every
 //! geometry leg in two modes:
 //!
 //! 1. **Transient** — the fault's fire budget is capped at one (see
@@ -15,7 +15,7 @@
 //!    salvages the job without re-running the pipeline.
 //! 2. **Deterministic** — the fault always fires. The faulted block
 //!    fails every attempt, so the run must surface exactly one typed
-//!    [`BlockFailed`] with `attempts == max_attempts` — never an
+//!    [`BlockFailed`](bds_pool::BlockFailed) with `attempts == max_attempts` — never an
 //!    escaped panic, never an `Ok` (the generator guarantees the
 //!    poison is demanded, so the fault cannot silently miss).
 //!
@@ -50,10 +50,7 @@ pub fn retry_legs_enabled() -> bool {
 /// have block-granular recovery (the `array`/`rad` baselines have no
 /// block structure to retry).
 #[allow(clippy::type_complexity)]
-const RETRY_EVALS: [(&str, fn(&Pipeline) -> Outcome); 2] = [
-    ("delay", eval::eval_delay),
-    ("dynseq", eval::eval_dynseq),
-];
+const RETRY_EVALS: [(&str, fn(&Pipeline) -> Outcome); 1] = [("delay", eval::eval_delay)];
 
 /// Retry budget for the deterministic leg — small enough to quarantine
 /// fast, larger than one so the attempts accounting is observable.

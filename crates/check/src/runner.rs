@@ -94,16 +94,15 @@ pub fn thread_counts() -> Vec<usize> {
 
 type EvalFn = fn(&Pipeline) -> Outcome;
 
-const EVALS: [(&str, EvalFn); 4] = [
+const EVALS: [(&str, EvalFn); 3] = [
     ("array", eval::eval_array as EvalFn),
     ("rad", eval::eval_rad as EvalFn),
     ("delay", eval::eval_delay as EvalFn),
-    ("dynseq", eval::eval_dynseq as EvalFn),
 ];
 
-/// The evaluators exercised under a geometry leg: all four under
-/// `Adaptive`, only the policy-sensitive `delay`/`dynseq` under the
-/// other legs (the baselines would just repeat themselves).
+/// The evaluators exercised under a geometry leg: all three under
+/// `Adaptive`, only the policy-sensitive `delay` under the other legs
+/// (the baselines would just repeat themselves).
 fn evals_for(geom: Geom) -> &'static [(&'static str, EvalFn)] {
     match geom {
         Geom::Adaptive => &EVALS,

@@ -165,12 +165,10 @@ pub fn check_simd(subseed: u64) -> Vec<String> {
 /// instantiation: the chunked drive loop
 /// (`bds_seq::stream::try_sum_chunked`) regroups block streams into
 /// the same `CHUNK` seams regardless of representation, so the
-/// monomorphized, erased, and dynamic legs must land the fault at the
-/// same chunk ordinal with the same reported offset as the slice
-/// kernels.
+/// monomorphized and erased legs must land the fault at the same chunk
+/// ordinal with the same reported offset as the slice kernels.
 #[cfg(feature = "fault-inject")]
 fn fault_legs(ints: &[u64], violations: &mut Vec<String>) {
-    use bds_seq::dynseq::DSeq;
     use bds_seq::erased::BoxSeq;
     use bds_seq::faults;
     use bds_seq::sources::{from_slice, Forced};
@@ -200,15 +198,11 @@ fn fault_legs(ints: &[u64], violations: &mut Vec<String>) {
             }
         }
         type StreamLeg<'a> = (&'a str, Box<dyn Fn() -> Result<u64, simd::Interrupted> + 'a>);
-        let stream_legs: [StreamLeg; 3] = [
-            ("stream-mono", Box::new(|| stream::try_sum_seq(&from_slice(ints)))),
+        let stream_legs: [StreamLeg; 2] = [
+            ("stream-mono", Box::new(|| stream::try_sum_chunked(&from_slice(ints)))),
             (
                 "stream-erased",
-                Box::new(|| stream::try_sum_seq(&BoxSeq::new(Forced::from_vec(ints.to_vec())))),
-            ),
-            (
-                "stream-dynseq",
-                Box::new(|| DSeq::from_vec(ints.to_vec()).try_sum()),
+                Box::new(|| stream::try_sum_chunked(&BoxSeq::new(Forced::from_vec(ints.to_vec())))),
             ),
         ];
         for (leg, run) in stream_legs {

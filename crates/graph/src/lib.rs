@@ -5,7 +5,7 @@
 //! Zhan and Faloutsos. This crate provides:
 //!
 //! * [`CsrGraph`] — compressed sparse row adjacency (the standard PBBS
-//!   representation), built in parallel from an edge list;
+//!   representation), built by a counting sort of an edge list;
 //! * [`rmat`] — a seeded R-MAT generator (recursive quadrant sampling
 //!   with the classic `(a, b, c, d)` probabilities), yielding the
 //!   power-law degree distribution that drives the benchmark's irregular
@@ -31,37 +31,25 @@ pub struct CsrGraph {
 
 impl CsrGraph {
     /// Build from an edge list. Self-loops are kept; duplicate edges are
-    /// kept (they do not affect BFS correctness). Runs the counting and
-    /// bucketing passes in parallel.
+    /// kept (they do not affect BFS correctness). A counting sort by
+    /// source: count out-degrees, prefix-sum them into offsets, then
+    /// place targets in input order, so each vertex's neighbours keep
+    /// the order of `edges` and the graph is a pure function of it.
     pub fn from_edges(num_vertices: usize, edges: &[(Vertex, Vertex)]) -> CsrGraph {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        let degree: Vec<AtomicUsize> = (0..num_vertices).map(|_| AtomicUsize::new(0)).collect();
-        bds_pool::parallel_for(edges.len(), |i| {
-            degree[edges[i].0 as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        let mut offsets = Vec::with_capacity(num_vertices + 1);
-        let mut acc = 0usize;
-        for d in &degree {
-            offsets.push(acc);
-            acc += d.load(Ordering::Relaxed);
+        let mut offsets = vec![0usize; num_vertices + 1];
+        for &(u, _) in edges {
+            offsets[u as usize + 1] += 1;
         }
-        offsets.push(acc);
-        // Bucket edges by source with per-vertex atomic cursors.
-        let cursor: Vec<AtomicUsize> = offsets[..num_vertices]
-            .iter()
-            .map(|&o| AtomicUsize::new(o))
-            .collect();
-        let targets: Vec<AtomicUsize> = (0..acc).map(|_| AtomicUsize::new(0)).collect();
-        bds_pool::parallel_for(edges.len(), |i| {
-            let (u, v) = edges[i];
-            let slot = cursor[u as usize].fetch_add(1, Ordering::Relaxed);
-            targets[slot].store(v as usize, Ordering::Relaxed);
-        });
-        let targets = targets
-            .into_iter()
-            .map(|t| t.into_inner() as Vertex)
-            .collect();
+        for v in 0..num_vertices {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..num_vertices].to_vec();
+        let mut targets = vec![0; edges.len()];
+        for &(u, v) in edges {
+            let slot = &mut cursor[u as usize];
+            targets[*slot] = v;
+            *slot += 1;
+        }
         CsrGraph { offsets, targets }
     }
 
@@ -303,10 +291,19 @@ mod tests {
         let g2 = rmat(p);
         assert_eq!(g1.num_vertices(), 1024);
         assert_eq!(g1.num_edges(), 8 * 1024);
-        assert_eq!(g1.num_edges(), g2.num_edges());
-        for v in [0u32, 1, 512, 1023] {
-            assert_eq!(g1.out_neighbors(v), g2.out_neighbors(v));
-        }
+        assert_eq!(g1.offsets, g2.offsets);
+        assert_eq!(g1.targets, g2.targets);
+    }
+
+    #[test]
+    fn from_edges_keeps_each_vertexs_neighbours_in_input_order() {
+        let edges = [(2, 0), (0, 3), (2, 1), (0, 1), (2, 2), (0, 2), (1, 0)];
+        let g = CsrGraph::from_edges(4, &edges);
+        assert_eq!(g.out_neighbors(0), [3, 1, 2]);
+        assert_eq!(g.out_neighbors(1), [0]);
+        assert_eq!(g.out_neighbors(2), [0, 1, 2]);
+        assert!(g.out_neighbors(3).is_empty());
+        assert_eq!(g.offsets, [0, 3, 4, 7, 7]);
     }
 
     #[test]

@@ -357,18 +357,17 @@ where
 {
     // Every arm is a direct call into the unified indexed-stream drive
     // loops: the plan legs consume through exactly the engine the
-    // static, erased, and dynamic legs use.
+    // static and erased legs use.
     use bds_seq::stream;
-    let st = stream::of_seq(s);
     match consumer {
-        ConsumerOp::Collect => Consumed::Vec(stream::to_vec(&st)),
+        ConsumerOp::Collect => Consumed::Vec(stream::to_vec(s)),
         ConsumerOp::Reduce(zero, f, _) => {
             let f = f.clone();
-            Consumed::Scalar(stream::reduce(&st, zero.clone(), &move |a, b| f(a, b)))
+            Consumed::Scalar(stream::reduce(s, zero.clone(), &move |a, b| f(a, b)))
         }
         ConsumerOp::Count(p, _) => {
             let p = p.clone();
-            Consumed::Num(stream::count(&st, &move |x| p(x)))
+            Consumed::Num(stream::count(s, &move |x| p(x)))
         }
     }
 }

@@ -25,16 +25,21 @@
 //!
 //! Because [`BoxSeq`] and [`BoxRad`] implement [`Seq`], they get the
 //! erased lowering's consumer loops for free: every consumer default
-//! routes through the indexed-stream core ([`crate::stream`]) via the
-//! same [`crate::stream::of_seq`] instantiation as the monomorphized
-//! pipelines — the erased leg runs the *identical* drive loop, only
-//! the block streams are boxed.
+//! routes through the indexed-stream core ([`crate::stream`]), whose
+//! drive loops take any [`Seq`] — the erased leg runs the *identical*
+//! drive loop as the monomorphized pipelines, only the block streams
+//! are boxed.
 //!
-//! The price is one boxed-iterator virtual call per block (not per
-//! element for the block body: the inner iterator still runs fused
-//! inside the box) plus an allocation per block stream. For
-//! correctness harnesses that is irrelevant; for performance-critical
-//! code, keep the static types.
+//! This is also the crate's runtime form of the paper's `RAD | BID`
+//! tagged union: a stage erased into a [`BoxRad`] keeps random access,
+//! one erased into a [`BoxSeq`] is block-iterable only, and
+//! [`BoxRad::into_seq`] is the RAD-to-BID conversion.
+//!
+//! The price is one allocation per block stream plus one indirect
+//! `next()` per element for every boxed stage (the stages composed
+//! statically *inside* a box still run fused). For correctness
+//! harnesses and runtime-built plans that is the trade; for
+//! performance-critical code, keep the static types.
 //!
 //! # Examples
 //!

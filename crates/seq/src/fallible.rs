@@ -34,7 +34,7 @@ where
     F: Fn(S::Item, S::Item) -> Result<S::Item, E> + Send + Sync,
     E: Send,
 {
-    stream::try_reduce(&stream::of_seq(seq), zero, f)
+    stream::try_reduce(seq, zero, f)
 }
 
 /// Fallible eager exclusive scan; see [`Seq::try_scan`]. One
@@ -50,7 +50,7 @@ where
     F: Fn(S::Item, S::Item) -> Result<S::Item, E> + Send + Sync,
     E: Send,
 {
-    stream::try_scan(&stream::of_seq(seq), zero, f)
+    stream::try_scan(seq, zero, f)
 }
 
 /// Fallible filter, materialized; see [`Seq::try_filter_collect`].
@@ -64,7 +64,7 @@ where
     P: Fn(&S::Item) -> Result<bool, E> + Send + Sync,
     E: Send,
 {
-    let parts = stream::try_filter_parts(&stream::of_seq(seq), pred)?;
+    let parts = stream::try_filter_parts(seq, pred)?;
     let flat = Flattened::from_inners(parts.into_iter().map(Forced::from_vec).collect());
     Ok(flat.to_vec())
 }
@@ -78,7 +78,7 @@ where
     T: Send,
     E: Send,
 {
-    stream::try_to_vec(&stream::of_seq(seq))
+    stream::try_to_vec(seq)
 }
 
 /// Extra consumers for sequences whose *elements* are `Result`s —

@@ -97,7 +97,6 @@
 
 pub mod adaptors;
 pub mod counters;
-pub mod dynseq;
 pub mod erased;
 pub mod extra;
 pub mod fallible;
@@ -137,7 +136,7 @@ pub use scan::{Scanned, ScannedIncl};
 pub use service::ServiceExt;
 pub use simd::{force_level, SimdLevel, SimdLevelGuard};
 pub use sources::{empty, from_slice, range, repeat, tabulate, Forced, FromSlice, Tabulate};
-pub use stream::{BlockStream, IndexedStream};
+pub use stream::BlockStream;
 pub use traits::{RadBlock, RadSeq, Seq};
 
 /// Everything needed to write pipelines: the traits plus constructors.

@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 
 use bds_pool::{thread_ticker_polls, PollTicker};
 
-use crate::dynseq::DSeq;
 use crate::prelude::*;
 use crate::simd::CHUNK;
 use crate::stream::{fold_chunks, pack_block, BlockStream, LOCKSTEP_MAX_ITEM};
@@ -351,16 +350,6 @@ fn filter_lowerings_match_the_sequential_oracle() {
                     want_op,
                     "BoxSeq filter_op, {what}"
                 );
-                assert_eq!(
-                    DSeq::from_vec(data.clone()).filter(pred).to_vec(),
-                    want,
-                    "DSeq filter, {what}"
-                );
-                assert_eq!(
-                    DSeq::from_vec(data.clone()).filter_op(f).to_vec(),
-                    want_op,
-                    "DSeq filter_op, {what}"
-                );
             }
         }
     }
@@ -472,9 +461,6 @@ fn panic_inside_the_pack_loop_neither_leaks_nor_double_drops() {
     panics_cleanly("BoxSeq filter", live, || {
         BoxSeq::new(tabulate(N, tracked)).filter(pred).to_vec()
     });
-    panics_cleanly("DSeq filter", live, || {
-        DSeq::tabulate(N, tracked).filter(pred).to_vec()
-    });
 
     // `f` panics while both its input and earlier outputs are live.
     let live = &MAP_LIVE;
@@ -488,9 +474,6 @@ fn panic_inside_the_pack_loop_neither_leaks_nor_double_drops() {
     });
     panics_cleanly("BoxSeq filter_op", live, || {
         BoxSeq::new(tabulate(N, tracked)).filter_op(f).to_vec()
-    });
-    panics_cleanly("DSeq filter_op", live, || {
-        DSeq::tabulate(N, tracked).filter_op(f).to_vec()
     });
 }
 
@@ -508,12 +491,11 @@ fn retried_fault_in_the_pack_loop_is_bit_identical() {
         keeps(3, *t.v).then_some(t)
     };
     let values = |v: Vec<Tracked<'static>>| v.iter().map(|t| *t.v).collect::<Vec<u64>>();
-    let lowerings: [(&str, &dyn Fn() -> Vec<Tracked<'static>>); 3] = [
+    let lowerings: [(&str, &dyn Fn() -> Vec<Tracked<'static>>); 2] = [
         ("static", &|| tabulate(N, tracked).filter_op(f).to_vec()),
         ("BoxSeq", &|| {
             BoxSeq::new(tabulate(N, tracked)).filter_op(f).to_vec()
         }),
-        ("DSeq", &|| DSeq::tabulate(N, tracked).filter_op(f).to_vec()),
     ];
     for (what, pipeline) in lowerings {
         RETRY_FIRED.store(true, Ordering::Relaxed);
@@ -546,10 +528,10 @@ fn cancellation_inside_the_pack_loop_is_observed_within_one_interval() {
     const K: usize = 10_000;
     let _g = crate::policy::test_sync::test_force(N);
     let bound = K + PollTicker::INTERVAL as usize;
-    for what in ["static", "BoxSeq", "DSeq"] {
+    for what in ["static", "BoxSeq"] {
         let token = bds_pool::CancelToken::new();
         let produced = std::sync::Arc::new(AtomicUsize::new(0));
-        // Owned handles, so the erased lowerings get a `'static` source.
+        // Owned handles, so the erased lowering gets a `'static` source.
         let (t, p) = (token.clone(), std::sync::Arc::clone(&produced));
         let index = move |i: usize| {
             if p.fetch_add(1, Ordering::Relaxed) + 1 == K {
@@ -562,8 +544,7 @@ fn cancellation_inside_the_pack_loop_is_observed_within_one_interval() {
             catch_unwind(AssertUnwindSafe(|| {
                 bds_pool::with_token(&token, || match what {
                     "static" => tabulate(N, index).filter(even).len(),
-                    "BoxSeq" => BoxSeq::new(tabulate(N, index)).filter(even).len(),
-                    _ => DSeq::tabulate(N, index).filter(even).len(),
+                    _ => BoxSeq::new(tabulate(N, index)).filter(even).len(),
                 })
             }))
         });

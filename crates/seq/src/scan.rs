@@ -48,7 +48,7 @@ where
     S::Item: Clone + Sync,
     F: Fn(S::Item, S::Item) -> S::Item + Send + Sync,
 {
-    crate::stream::scan_seeds(&crate::stream::of_seq(input), zero, f)
+    crate::stream::scan_seeds(input, zero, f)
 }
 
 /// Exclusive scan; see [`Seq::scan`].

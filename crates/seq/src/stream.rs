@@ -1,22 +1,17 @@
 //! The indexed-stream core: one block-granular drive loop for every
 //! lowering.
 //!
-//! Historically each representation in this crate — the static generic
-//! adaptors, [`DSeq`](crate::dynseq::DSeq), and the erased
+//! The drive loops ([`reduce`], [`to_vec`], [`count`], [`for_each`],
+//! [`filter_parts`], [`scan_seeds`], the `try_*` variants, …) own the
+//! canonical consumption protocol, so every cross-cutting concern
+//! (cancellation poll ticks, cost-model geometry pinning, memory
+//! charging, profiling spans, SIMD chunk dispatch) lives in one place,
+//! in the spirit of indexed stream fusion. They take any [`Seq`] — its
+//! length, cost-aware geometry ([`Seq::block_size_costed`]) and
+//! per-block streams ([`Seq::block`]) are the whole contract — so the
+//! monomorphized pipelines and the erased
 //! [`BoxSeq`](crate::erased::BoxSeq)/[`BoxRad`](crate::erased::BoxRad)
-//! — re-implemented its own consumer loops, so every cross-cutting
-//! concern (cancellation poll ticks, cost-model geometry pinning,
-//! memory charging, profiling spans, SIMD chunk dispatch) had to be
-//! threaded through each copy by hand. This module replaces those
-//! copies with *one* engine, in the spirit of indexed stream fusion:
-//!
-//! - [`IndexedStream`] is the minimal contract a representation must
-//!   offer: a length, a cost-aware geometry resolution, and per-block
-//!   element streams.
-//! - The drive loops ([`reduce`], [`to_vec`], [`count`], [`for_each`],
-//!   [`filter_parts`], [`scan_seeds`], the `try_*` variants, …) own the
-//!   canonical consumption protocol. Every lowering — monomorphized,
-//!   erased, or dynamic — is a thin instantiation.
+//! are thin instantiations of the same engine.
 //!
 //! # The canonical per-block protocol
 //!
@@ -24,7 +19,7 @@
 //!
 //! 1. **Profile span** — opens the stage's [`mod@crate::profile`] span.
 //! 2. **Cost-pinned geometry** — calls
-//!    [`IndexedStream::resolve_block_size`] with the consumer's
+//!    [`Seq::block_size_costed`] with the consumer's
 //!    [`ElemCost`] *before* deriving the block count. Resolving and
 //!    pinning in one step is load-bearing: under `Policy::Adaptive` two
 //!    separate resolutions of the same `(n, cost)` may disagree (live
@@ -53,7 +48,7 @@
 //!    cursor that advances by `is_some()`, then moves the chunk's
 //!    survivors into the block's `Vec` at once — no data-dependent
 //!    `push` per survivor. Streams without a chunked loop (the erased
-//!    and dynamic lowerings' boxed iterators) fall back to `next()`.
+//!    lowering's boxed iterators) fall back to `next()`.
 //!    Every block body runs under [`bds_pool::recover_block`]
 //!    ([`bds_pool::recover_effect_block`] for the side-effecting
 //!    `for_each` loops): when an enclosing
@@ -113,8 +108,8 @@ use crate::util::{build_vec, charge_elems, scan_sequential, PartialVec};
 /// their input; [`crate::adaptors::ZipWithBlock`] runs its two sides in
 /// lockstep through a stack buffer. Any other iterator gets the
 /// default, which calls `next()`: the erased `Box<dyn Iterator>` blocks
-/// of [`crate::BoxSeq`] and [`crate::dynseq::DSeq`], and the
-/// `Range`/`Take` blocks external [`Seq`] implementations may use.
+/// of [`crate::BoxSeq`] and [`crate::BoxRad`], and the `Range`/`Take`
+/// blocks external [`Seq`] implementations may use.
 ///
 /// # Safety
 ///
@@ -320,80 +315,6 @@ unsafe impl<A> BlockStream for std::ops::Range<A> where std::ops::Range<A>: Iter
 unsafe impl<I: Iterator> BlockStream for std::iter::Take<I> {}
 
 // ---------------------------------------------------------------------
-// The indexed-stream contract
-// ---------------------------------------------------------------------
-
-/// A block-granular indexed stream: the one interface every lowering
-/// exposes to the shared drive loops.
-///
-/// The contract mirrors the [`Seq`] block invariant: after geometry is
-/// resolved to a block size `bs`, block `j` yields exactly
-/// `min(bs, len - j*bs)` elements, in order, and the concatenation of
-/// all `ceil(len/bs)` blocks is the sequence. Leaf iterators are
-/// responsible for their own [`bds_pool::PollTicker`] ticks (one per
-/// element).
-pub trait IndexedStream: Sync {
-    /// Element type.
-    type Item: Send;
-    /// The stream of one block, borrowing the source.
-    type Block<'s>: BlockStream<Item = Self::Item>
-    where
-        Self: 's;
-
-    /// Total number of elements.
-    fn len(&self) -> usize;
-
-    /// True when there are no elements.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Resolve — and pin — the block size, pricing `downstream` cost
-    /// per element on top of the stream's own delayed work. Drive loops
-    /// call this exactly once, before deriving the block count.
-    ///
-    /// Static sequences delegate to [`Seq::block_size_costed`];
-    /// already-pinned representations (a materialized
-    /// [`DSeq`](crate::dynseq::DSeq) BID, an eager scan phase) return
-    /// their pinned size and ignore `downstream`.
-    fn resolve_block_size(&self, downstream: ElemCost) -> usize;
-
-    /// The element stream of block `j` (under the resolved geometry).
-    fn stream_block(&self, j: usize) -> Self::Block<'_>;
-}
-
-/// Monomorphized (and erased) instantiation: any [`Seq`] is an indexed
-/// stream. [`crate::erased::BoxSeq`] and [`crate::erased::BoxRad`]
-/// implement [`Seq`], so the erased lowering goes through this same
-/// wrapper — one engine, several front-ends.
-pub struct SeqStream<'a, S: Seq + ?Sized>(&'a S);
-
-/// View a [`Seq`] as an [`IndexedStream`] instantiation.
-pub fn of_seq<S: Seq + ?Sized>(s: &S) -> SeqStream<'_, S> {
-    SeqStream(s)
-}
-
-impl<'a, S: Seq + ?Sized> IndexedStream for SeqStream<'a, S> {
-    type Item = S::Item;
-    type Block<'s>
-        = S::Block<'s>
-    where
-        Self: 's;
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn resolve_block_size(&self, downstream: ElemCost) -> usize {
-        self.0.block_size_costed(downstream)
-    }
-
-    fn stream_block(&self, j: usize) -> Self::Block<'_> {
-        self.0.block(j)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Geometry resolution
 // ---------------------------------------------------------------------
 
@@ -421,9 +342,9 @@ impl Geometry {
 /// Step 2 of the protocol: resolve and pin geometry with the consumer's
 /// per-element cost, then derive the block count from the pinned
 /// answer.
-pub fn pin_geometry<S: IndexedStream + ?Sized>(s: &S, downstream: ElemCost) -> Geometry {
+pub fn pin_geometry<S: Seq + ?Sized>(s: &S, downstream: ElemCost) -> Geometry {
     let len = s.len();
-    let bs = s.resolve_block_size(downstream);
+    let bs = s.block_size_costed(downstream);
     Geometry {
         len,
         bs,
@@ -449,11 +370,11 @@ fn record(stage: Stage, g: Geometry) {
 /// DESIGN.md).
 fn visit_blocks<S, F>(s: &S, g: Geometry, f: F)
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     F: Fn(usize, S::Block<'_>) + Send + Sync,
 {
     bds_pool::apply(g.nb, |j| {
-        bds_pool::recover_effect_block(j, || f(j, s.stream_block(j)))
+        bds_pool::recover_effect_block(j, || f(j, s.block(j)))
     });
 }
 
@@ -462,7 +383,7 @@ where
 /// seeds, and filter packing).
 fn per_block<S, T, F>(s: &S, g: Geometry, f: F) -> Vec<T>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     T: Send,
     F: Fn(usize, S::Block<'_>) -> T + Send + Sync,
 {
@@ -472,7 +393,7 @@ where
             // succeeds, so a retried attempt (transient fault mid-`f`)
             // re-streams the block into the still-empty slot.
             bds_pool::recover_block(j, || {
-                pv.writer(j).push(f(j, s.stream_block(j)));
+                pv.writer(j).push(f(j, s.block(j)));
             });
         });
     })
@@ -483,7 +404,7 @@ where
 /// block index's error is reported.
 fn try_per_block<S, T, E, F>(s: &S, g: Geometry, f: F) -> Result<Vec<T>, E>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     T: Send,
     E: Send,
     F: Fn(usize, S::Block<'_>) -> Result<T, E> + Send + Sync,
@@ -493,7 +414,7 @@ where
         // Retry wraps only panic faults; an `Err` return is a result,
         // not a fault, and short-circuits the region unretried.
         bds_pool::recover_block(j, || {
-            pv.writer(j).push(f(j, s.stream_block(j))?);
+            pv.writer(j).push(f(j, s.block(j))?);
             Ok(())
         })
     })?;
@@ -512,12 +433,12 @@ fn fill_block<S, T, E>(
     f: impl FnMut(S::Item) -> Result<T, E>,
 ) -> Result<(), E>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     T: Send,
 {
     let (lo, hi) = g.block_bounds(j);
     let mut w = pv.writer(lo);
-    let mut stream = s.stream_block(j);
+    let mut stream = s.block(j);
     w.extend_with(&mut stream, hi - lo, f)?;
     assert_eq!(lo + w.count(), hi, "Seq invariant violated: block underflow");
     assert!(stream.next().is_none(), "Seq invariant violated: block overflow");
@@ -528,7 +449,7 @@ where
 /// of one fresh (budget-charged) buffer.
 fn materialize<S>(s: &S, g: Geometry) -> Vec<S::Item>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
 {
     build_vec(g.len, |pv| {
         bds_pool::apply(g.nb, |j| {
@@ -546,7 +467,7 @@ where
 /// `try_to_vec` (where `f` unwraps `Result` elements).
 fn try_materialize_with<S, T, E, F>(s: &S, g: Geometry, f: F) -> Result<Vec<T>, E>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     T: Send,
     E: Send,
     F: Fn(S::Item) -> Result<T, E> + Send + Sync,
@@ -568,7 +489,7 @@ where
 /// must be associative.
 pub fn reduce<S, F>(s: &S, zero: S::Item, combine: &F) -> S::Item
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     F: Fn(S::Item, S::Item) -> S::Item + Send + Sync,
 {
     if s.is_empty() {
@@ -590,7 +511,7 @@ where
 /// Figure 9 lines 5-8).
 pub fn for_each<S, F>(s: &S, f: &F)
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     F: Fn(S::Item) + Send + Sync,
 {
     let _span = profile::span(Stage::ForEach);
@@ -602,7 +523,7 @@ where
 /// Apply `f(i, x)` to every element with its global index.
 pub fn for_each_indexed<S, F>(s: &S, f: &F)
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     F: Fn(usize, S::Item) + Send + Sync,
 {
     let _span = profile::span(Stage::ForEach);
@@ -620,7 +541,7 @@ where
 /// Materialize into a `Vec` (`toArray`, Figure 9 lines 9-14).
 pub fn to_vec<S>(s: &S) -> Vec<S::Item>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
 {
     let _span = profile::span(Stage::Force);
     // One write + one slot of fresh allocation per element.
@@ -634,7 +555,7 @@ where
 /// Count the elements satisfying `pred`, two-phase like [`reduce`].
 pub fn count<S, P>(s: &S, pred: &P) -> usize
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     P: Fn(&S::Item) -> bool + Send + Sync,
 {
     if s.is_empty() {
@@ -653,11 +574,10 @@ where
 /// (Figure 10, lines 48-53): stream each block through `keep` (`Some`
 /// keeps an element, `None` drops it) into a small dense array,
 /// charging each block's survivors against the ambient memory budget.
-/// The caller flattens the parts (the static lowering wraps each in a
-/// [`Forced`]; [`crate::dynseq::DSeq`] feeds them to `flatten_parts`).
+/// The caller flattens the parts, wrapping each in a [`Forced`].
 pub fn filter_parts<S, U, K>(s: &S, keep: &K) -> Vec<Vec<U>>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     U: Send,
     K: Fn(S::Item) -> Option<U> + Sync,
 {
@@ -740,7 +660,7 @@ where
 /// sums. Returns the exclusive per-block seeds and the grand total.
 pub fn scan_seeds<S, F>(s: &S, zero: S::Item, f: &F) -> (Vec<S::Item>, S::Item)
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     S::Item: Clone + Sync,
     F: Fn(S::Item, S::Item) -> S::Item + Send + Sync,
 {
@@ -768,7 +688,7 @@ where
 /// real panic beats an `Err`), phase 2 is a sequential fallible fold.
 pub fn try_reduce<S, E, F>(s: &S, zero: S::Item, f: &F) -> Result<S::Item, E>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     E: Send,
     F: Fn(S::Item, S::Item) -> Result<S::Item, E> + Send + Sync,
 {
@@ -794,7 +714,7 @@ where
 /// errors at an arbitrary later consumer.
 pub fn try_scan<S, E, F>(s: &S, zero: S::Item, f: &F) -> Result<(Forced<S::Item>, S::Item), E>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     S::Item: Clone + Sync,
     E: Send,
     F: Fn(S::Item, S::Item) -> Result<S::Item, E> + Send + Sync,
@@ -840,7 +760,7 @@ where
 /// concatenates them.
 pub fn try_filter_parts<S, E, P>(s: &S, pred: &P) -> Result<Vec<Vec<S::Item>>, E>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     S::Item: Clone + Sync,
     E: Send,
     P: Fn(&S::Item) -> Result<bool, E> + Send + Sync,
@@ -866,7 +786,7 @@ where
 /// in block order.
 pub fn try_to_vec<S, T, E>(s: &S) -> Result<Vec<T>, E>
 where
-    S: IndexedStream<Item = Result<T, E>> + ?Sized,
+    S: Seq<Item = Result<T, E>> + ?Sized,
     T: Send,
     E: Send,
 {
@@ -880,7 +800,7 @@ where
 // ---------------------------------------------------------------------
 
 /// Chunked fallible sum: the unified counterpart of
-/// [`simd::try_sum`], driving any indexed stream through the SIMD
+/// [`simd::try_sum`], driving any [`Seq`] through the SIMD
 /// dispatch ladder one [`simd::CHUNK`] at a time.
 ///
 /// Blocks are streamed **sequentially in block order** and regrouped
@@ -893,7 +813,7 @@ where
 /// (`fault_legs` in `check/src/simd.rs`).
 pub fn try_sum_chunked<S, T>(s: &S) -> Result<T, Interrupted>
 where
-    S: IndexedStream<Item = T> + ?Sized,
+    S: Seq<Item = T> + ?Sized,
     T: SimdElem,
 {
     let level = simd::active_level();
@@ -911,7 +831,7 @@ where
         Ok(())
     };
     for j in 0..g.nb {
-        try_fold_rest(&mut s.stream_block(j), 0, (), |(), x| {
+        try_fold_rest(&mut s.block(j), 0, (), |(), x| {
             buf.push(x);
             if buf.len() == simd::CHUNK {
                 flush(&mut buf)?;
@@ -925,30 +845,20 @@ where
     Ok(acc)
 }
 
-/// [`try_sum_chunked`] over any [`Seq`] — the monomorphized/erased
-/// entry point of the chunked SIMD drive loop.
-pub fn try_sum_seq<S>(s: &S) -> Result<S::Item, Interrupted>
-where
-    S: Seq + ?Sized,
-    S::Item: SimdElem,
-{
-    try_sum_chunked(&of_seq(s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prelude::*;
 
     #[test]
-    fn seq_stream_drives_all_consumers() {
+    fn drive_loops_consume_any_seq() {
         let _g = crate::policy::test_sync::test_force(16);
         let s = tabulate(100, |i| i as u64);
-        let v = to_vec(&of_seq(&s));
+        let v = to_vec(&s);
         assert_eq!(v, (0..100).collect::<Vec<u64>>());
-        assert_eq!(reduce(&of_seq(&s), 0, &|a, b| a + b), 4950);
-        assert_eq!(count(&of_seq(&s), &|&x| x % 2 == 0), 50);
-        let parts = filter_parts(&of_seq(&s), &|x| (x < 10).then_some(x));
+        assert_eq!(reduce(&s, 0, &|a, b| a + b), 4950);
+        assert_eq!(count(&s, &|&x| x % 2 == 0), 50);
+        let parts = filter_parts(&s, &|x| (x < 10).then_some(x));
         let survivors: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(survivors, 10);
     }
@@ -957,13 +867,13 @@ mod tests {
     fn empty_streams_take_the_trivial_paths() {
         let _l = crate::policy::test_sync::test_lock();
         let s = tabulate(0, |i| i as u64);
-        assert_eq!(reduce(&of_seq(&s), 7, &|a, b| a + b), 7);
-        assert_eq!(count(&of_seq(&s), &|_| true), 0);
-        assert!(to_vec(&of_seq(&s)).is_empty());
-        let (seeds, total) = scan_seeds(&of_seq(&s), 3, &|a, b| a + b);
+        assert_eq!(reduce(&s, 7, &|a, b| a + b), 7);
+        assert_eq!(count(&s, &|_| true), 0);
+        assert!(to_vec(&s).is_empty());
+        let (seeds, total) = scan_seeds(&s, 3, &|a, b| a + b);
         assert!(seeds.is_empty());
         assert_eq!(total, 3);
-        assert_eq!(try_sum_chunked(&of_seq(&s)), Ok(0u64));
+        assert_eq!(try_sum_chunked(&s), Ok(0u64));
     }
 
     #[test]
@@ -971,7 +881,7 @@ mod tests {
         let _g = crate::policy::test_sync::test_force(8);
         let s = tabulate(40, |i| i as u64 * 3);
         let hits = std::sync::atomic::AtomicU64::new(0);
-        for_each_indexed(&of_seq(&s), &|i, x| {
+        for_each_indexed(&s, &|i, x| {
             assert_eq!(x, i as u64 * 3);
             hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         });
@@ -982,7 +892,7 @@ mod tests {
     fn scan_seeds_match_sequential_prefix_sums() {
         let _g = crate::policy::test_sync::test_force(16);
         let s = tabulate(100, |_| 1u64);
-        let (seeds, total) = scan_seeds(&of_seq(&s), 0, &|a, b| a + b);
+        let (seeds, total) = scan_seeds(&s, 0, &|a, b| a + b);
         assert_eq!(total, 100);
         assert_eq!(seeds, (0..7).map(|j| j * 16).collect::<Vec<u64>>());
     }
@@ -991,9 +901,9 @@ mod tests {
     fn try_loops_short_circuit_and_agree_with_infallible() {
         let _g = crate::policy::test_sync::test_force(32);
         let s = tabulate(1000, |i| i as u64);
-        let ok: Result<u64, ()> = try_reduce(&of_seq(&s), 0, &|a, b| Ok(a + b));
+        let ok: Result<u64, ()> = try_reduce(&s, 0, &|a, b| Ok(a + b));
         assert_eq!(ok, Ok(499_500));
-        let err = try_reduce(&of_seq(&s), 0, &|a, b| {
+        let err = try_reduce(&s, 0, &|a, b| {
             if b == 777 {
                 Err("hit")
             } else {
@@ -1001,7 +911,7 @@ mod tests {
             }
         });
         assert_eq!(err, Err("hit"));
-        let parts = try_filter_parts(&of_seq(&s), &|&x| Ok::<bool, ()>(x < 5)).unwrap();
+        let parts = try_filter_parts(&s, &|&x| Ok::<bool, ()>(x < 5)).unwrap();
         assert_eq!(parts.concat(), vec![0, 1, 2, 3, 4]);
     }
 
@@ -1010,7 +920,7 @@ mod tests {
         let _l = crate::policy::test_sync::test_lock();
         let xs: Vec<u64> = (0..simd::CHUNK as u64 * 3 + 17).map(|i| i * i).collect();
         let s = from_slice(&xs);
-        assert_eq!(try_sum_seq(&s), simd::try_sum(&xs));
+        assert_eq!(try_sum_chunked(&s), simd::try_sum(&xs));
     }
 
     #[cfg(feature = "fault-inject")]
@@ -1026,7 +936,7 @@ mod tests {
             };
             let got = {
                 let _armed = crate::faults::arm(nth);
-                try_sum_seq(&s)
+                try_sum_chunked(&s)
             };
             assert_eq!(got, want, "fault ordinal {nth}");
             assert_eq!(

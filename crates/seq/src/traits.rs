@@ -18,8 +18,10 @@
 //! resolves it, so the fusion relies only on ordinary inlining, exactly
 //! like the paper's C++ library relies on GCC.
 //!
-//! A runtime tagged union faithful to the ML version is provided in
-//! [`crate::dynseq`] for comparison.
+//! Where a pipeline's shape is only known at runtime, the erased
+//! [`crate::BoxSeq`]/[`crate::BoxRad`] carry the tag instead: one
+//! concrete type per element, with the RAD/BID choice made by which
+//! box a stage lands in.
 
 use crate::adaptors::{Enumerate, Map, RevSeq, SkipSeq, TakeSeq, Zip, ZipWith};
 use crate::stream::{self, BlockStream};
@@ -218,7 +220,7 @@ pub trait Seq: Send + Sync {
     where
         F: Fn(Self::Item, Self::Item) -> Self::Item + Send + Sync,
     {
-        stream::reduce(&stream::of_seq(self), zero, &combine)
+        stream::reduce(self, zero, &combine)
     }
 
     /// Apply `f` to every element, in parallel across blocks (the paper's
@@ -227,7 +229,7 @@ pub trait Seq: Send + Sync {
     where
         F: Fn(Self::Item) + Send + Sync,
     {
-        stream::for_each(&stream::of_seq(self), &f)
+        stream::for_each(self, &f)
     }
 
     /// Apply `f(i, x)` to every element with its index.
@@ -235,14 +237,14 @@ pub trait Seq: Send + Sync {
     where
         F: Fn(usize, Self::Item) + Send + Sync,
     {
-        stream::for_each_indexed(&stream::of_seq(self), &f)
+        stream::for_each_indexed(self, &f)
     }
 
     /// Materialize into a `Vec` (the paper's `toArray`, Figure 9 lines
     /// 9-14): one fused parallel traversal writing each block into its
     /// slot of a fresh buffer.
     fn to_vec(&self) -> Vec<Self::Item> {
-        stream::to_vec(&stream::of_seq(self))
+        stream::to_vec(self)
     }
 
     /// Force all delayed computation into a materialized random-access
@@ -392,7 +394,7 @@ pub trait Seq: Send + Sync {
     where
         P: Fn(&Self::Item) -> bool + Send + Sync,
     {
-        stream::count(&stream::of_seq(self), &pred)
+        stream::count(self, &pred)
     }
 
     /// Does any element satisfy `pred`? Short-circuits across blocks.

@@ -1,7 +1,7 @@
 //! Acceptance tests for block-granular fault recovery: a transient
 //! fault injected at a known element under `RetryPolicy` must yield a
 //! result bit-identical to the unfaulted sequential oracle — across the
-//! monomorphized, erased, and dynamic lowerings and across geometries —
+//! monomorphized and erased lowerings and across geometries —
 //! with exactly one block retry and no whole-pipeline re-execution. A
 //! deterministic fault must surface one typed [`BlockFailed`] after
 //! exactly `max_attempts` attempts, never an escaped panic or a partial
@@ -87,17 +87,9 @@ fn run_erased() -> Vec<u64> {
     bds_seq::BoxSeq::new(tabulate(N, elem)).to_vec()
 }
 
-fn run_dynseq() -> Vec<u64> {
-    bds_seq::dynseq::DSeq::tabulate(N, elem).to_vec()
-}
-
 type Lowering = fn() -> Vec<u64>;
 
-const LOWERINGS: [(&str, Lowering); 3] = [
-    ("mono", run_mono),
-    ("erased", run_erased),
-    ("dynseq", run_dynseq),
-];
+const LOWERINGS: [(&str, Lowering); 2] = [("mono", run_mono), ("erased", run_erased)];
 
 #[test]
 fn transient_fault_recovers_bit_identical_across_lowerings_and_geometries() {

@@ -2,12 +2,14 @@
 # Re-run the repository's checks many times to catch intermittent
 # failures, and report how often each one failed.
 #
-#   scripts/stress.sh [N] [M]
+#   scripts/stress.sh [N] [M] [K]
 #
 # runs `cargo test -q` N times, `cargo test -q --workspace` N times
-# (default 50 each) and a 5 s `service_soak` M times (default 20). At
-# the end it prints one line per failing test (or soak violation) with
-# its failure count, and exits 1 if anything failed, 0 otherwise.
+# (default 50 each), a 5 s `service_soak` M times (default 20) and a
+# 10,000-pipeline `bds-check --seed <i>` K times (default 1, seeds
+# 1..K). At the end it prints one line per failing test (or soak
+# violation, or bds-check seed with a divergence) with its failure
+# count, and exits 1 if anything failed, 0 otherwise.
 #
 # Not part of CI: the default run takes hours on a 2-CPU host.
 set -uo pipefail
@@ -15,6 +17,7 @@ cd "$(dirname "$0")/.."
 
 N=${1:-50}
 M=${2:-20}
+K=${3:-1}
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
 
@@ -49,6 +52,7 @@ run_tests() {
 }
 
 cargo build -q --release -p bds-bench --bin service_soak || exit 1
+cargo build -q --release -p bds-check --bin bds-check || exit 1
 
 for i in $(seq 1 "$N"); do
   echo "stress: cargo test -q, run $i/$N" >&2
@@ -66,7 +70,14 @@ for i in $(seq 1 "$M"); do
   fi
 done
 
-echo "stress: $N x cargo test -q, $N x cargo test -q --workspace, $M x service_soak --seconds 5"
+for i in $(seq 1 "$K"); do
+  echo "stress: bds-check --pipelines 10000 --seed $i, run $i/$K" >&2
+  if ! target/release/bds-check --pipelines 10000 --seed "$i" >"$OUT" 2>&1; then
+    fail "bds-check --pipelines 10000 --seed $i: divergence or determinism violation"
+  fi
+done
+
+echo "stress: $N x cargo test -q, $N x cargo test -q --workspace, $M x service_soak --seconds 5, $K x bds-check --pipelines 10000"
 if [ "${#FAILS[@]}" -eq 0 ]; then
   echo "stress: no failures"
   exit 0

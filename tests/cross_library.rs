@@ -1,11 +1,11 @@
-//! Differential tests: the three libraries (array / rad / delay) and the
-//! dynamic tagged-union implementation must compute identical results on
+//! Differential tests: the three libraries (array / rad / delay), and
+//! delay's type-erased lowering, must compute identical results on
 //! shared pipelines — this is the property that makes the benchmark
 //! comparisons meaningful.
 
 use block_delayed_sequences::baseline::{array, rad};
 use block_delayed_sequences::prelude::*;
-use block_delayed_sequences::seq::dynseq::DSeq;
+use block_delayed_sequences::seq::{BoxSeq, Forced};
 
 /// Serializes the tests that are sensitive to the process-global block
 /// size (either because they set it, or because they build zip operands
@@ -25,12 +25,11 @@ fn map_reduce_identical_across_libraries() {
         let ys = array::map(&xs, |&x| x * 3 + 1);
         array::reduce(&ys, 0, |a, b| a + b)
     };
-    let dynv = DSeq::from_vec(xs.clone())
-        .map(|x| x * 3 + 1)
+    let erased = BoxSeq::new(BoxSeq::new(Forced::from_vec(xs.clone())).map(|x| x * 3 + 1))
         .reduce(0, |a, b| a + b);
     assert_eq!(delay, radv);
     assert_eq!(delay, arr);
-    assert_eq!(delay, dynv);
+    assert_eq!(delay, erased);
 }
 
 #[test]
@@ -40,14 +39,14 @@ fn scan_identical_across_libraries() {
     let delay = d.to_vec();
     let (radv, rt) = rad::from_slice(&xs).scan(0, |a, b| a + b);
     let (arr, at) = array::scan(&xs, 0, |a, b| a + b);
-    let (dyn_s, yt) = DSeq::from_vec(xs.clone()).scan(0, |a, b| a + b);
-    let dynv = dyn_s.to_vec();
+    let (erased_s, et) = BoxSeq::new(Forced::from_vec(xs.clone())).scan(0, |a, b| a + b);
+    let erased = BoxSeq::new(erased_s).to_vec();
     assert_eq!(delay, radv);
     assert_eq!(delay, arr);
-    assert_eq!(delay, dynv);
+    assert_eq!(delay, erased);
     assert_eq!(dt, rt);
     assert_eq!(dt, at);
-    assert_eq!(dt, yt);
+    assert_eq!(dt, et);
 }
 
 #[test]
@@ -56,10 +55,11 @@ fn filter_identical_across_libraries() {
     let delay = from_slice(&xs).filter(|&x| x % 7 < 3).to_vec();
     let radv = rad::from_slice(&xs).filter(|&x| x % 7 < 3);
     let arr = array::filter(&xs, |&x| x % 7 < 3);
-    let dynv = DSeq::from_vec(xs.clone()).filter(|&x| x % 7 < 3).to_vec();
+    let erased = BoxSeq::new(BoxSeq::new(Forced::from_vec(xs.clone())).filter(|&x| x % 7 < 3))
+        .to_vec();
     assert_eq!(delay, radv);
     assert_eq!(delay, arr);
-    assert_eq!(delay, dynv);
+    assert_eq!(delay, erased);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Cross-instantiation parity for the indexed-stream core.
 //!
-//! Every lowering — the monomorphized static pipeline, the
-//! vtable-erased [`BoxSeq`], and the dynamic [`DSeq`] — drives the same
-//! canonical per-block loop in `bds_seq::stream`. These tests pin the
+//! Every lowering — the monomorphized static pipeline and the
+//! vtable-erased [`BoxSeq`] — drives the same canonical per-block loop
+//! in `bds_seq::stream`. These tests pin the
 //! observables that loop owns, on the same seeded pipeline, and demand
 //! they are *identical* across instantiations, not merely equivalent:
 //!
@@ -18,7 +18,6 @@
 
 use bds_cost::Calibration;
 use bds_pool::{reset_ticker_polls, ticker_polls};
-use bds_seq::dynseq::DSeq;
 use bds_seq::erased::BoxSeq;
 use bds_seq::prelude::*;
 use bds_seq::sources::Forced;
@@ -113,7 +112,7 @@ fn geometry_decision_log_identical_mono_vs_erased() {
     assert_eq!(mono_log, erased_log, "geometry decision logs diverged");
 }
 
-/// All three instantiations must make the same number of cancellation
+/// Both instantiations must make the same number of cancellation
 /// polls: exactly one tick per element at the leaf, one poll per
 /// `PollTicker::INTERVAL` ticks, a fresh ticker per block. Geometry is
 /// pinned so every leg sees the same block seams.
@@ -135,31 +134,19 @@ fn poll_tick_counts_identical_across_instantiations() {
         polls_of(&|| pipe(&xs).reduce(0u64, |a, b| a ^ b));
     let (erased_val, erased_polls) =
         polls_of(&|| BoxSeq::new(pipe(&xs)).reduce(0u64, |a, b| a ^ b));
-    let (dyn_val, dyn_polls) = polls_of(&|| {
-        DSeq::from_vec(xs.clone())
-            .map(stage)
-            .reduce(0, |a, b| a ^ b)
-    });
 
     assert_eq!(mono_val, erased_val);
-    assert_eq!(mono_val, dyn_val);
     assert!(mono_polls > 0, "a 50k-element run must poll at least once");
     assert_eq!(
         mono_polls, erased_polls,
         "erased leg polled a different number of times"
-    );
-    assert_eq!(
-        mono_polls, dyn_polls,
-        "dynseq leg polled a different number of times"
     );
 
     // to_vec drives the same per-block loop — same counts again.
     let (_, mono_tv) = polls_of(&|| pipe(&xs).to_vec().len() as u64);
     let (_, erased_tv) =
         polls_of(&|| BoxSeq::new(pipe(&xs)).to_vec().len() as u64);
-    let (_, dyn_tv) = polls_of(&|| DSeq::from_vec(xs.clone()).map(stage).to_vec().len() as u64);
     assert_eq!(mono_tv, erased_tv);
-    assert_eq!(mono_tv, dyn_tv);
 }
 
 /// Memory-governed runs must trip at the *same byte budget*: the drive
